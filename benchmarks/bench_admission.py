@@ -131,6 +131,27 @@ def _batched_workload(n: int = BATCH_QUERIES):
     return queries
 
 
+#: Burst check sizes.  A light check ``le a (a + LIGHT_SPAN)`` descends
+#: ``LIGHT_SPAN`` constructors; a heavy one ``le h (h - 10)`` unboxes
+#: ``h ~ HEAVY_DEPTH`` and descends all of ``h - 10`` before refuting.
+#: Sized for the compiled executors the engine serves on.
+LIGHT_SPAN = 12_000
+HEAVY_DEPTH = 21_000
+BURST_FUEL = HEAVY_DEPTH + 100
+
+_NATS: list = []
+
+
+def _nats(n: int) -> list:
+    """Peano naturals ``0 .. n``, each the successor of the one before:
+    one shared chain instead of a fresh tree per query argument."""
+    if not _NATS:
+        _NATS.append(Value("O", ()))
+    while len(_NATS) <= n:
+        _NATS.append(Value("S", (_NATS[-1],)))
+    return _NATS
+
+
 def _burst_workload(n: int):
     """Heavy-tailed checks: light ~1.1 ms ``le`` positives, with a
     ~2.5x-heavier negative (the checker descends the whole right
@@ -138,13 +159,21 @@ def _burst_workload(n: int):
     The deterministic spacing is load-bearing — see the module
     docstring."""
     rng = random.Random(11)
+    nats = _nats(HEAVY_DEPTH + LIGHT_SPAN)
     queries = []
     for i in range(n):
-        a = rng.randint(590, 610)
+        a = rng.randint(0, 20)
         if i % HEAVY_EVERY == HEAVY_EVERY - 1:
-            queries.append(CheckQuery("le", (nat(a), nat(a - 10)), fuel=1300))
+            h = HEAVY_DEPTH + a - 10
+            queries.append(
+                CheckQuery("le", (nats[h], nats[h - 10]), fuel=BURST_FUEL)
+            )
         else:
-            queries.append(CheckQuery("le", (nat(a), nat(a + 200)), fuel=1300))
+            queries.append(
+                CheckQuery(
+                    "le", (nats[a], nats[a + LIGHT_SPAN]), fuel=BURST_FUEL
+                )
+            )
     return queries
 
 

@@ -12,7 +12,7 @@ the serving layer that lifts that:
    the sequential run of the same seed partition — parallelism as a
    pure throughput knob;
 3. serve a mixed check/enumerate/generate workload through an
-   `Engine`: sessioned worker threads, batched `check_batch` dispatch,
+   `Engine`: sessioned worker threads, batched `__batch__` dispatch,
    and per-query budgets that come back as *structured give-ups*
    (reason + `Exhausted` diagnosis), never errors;
 4. (with `--telemetry`) the same engine run under a `Telemetry`

@@ -24,7 +24,14 @@ from typing import Iterable
 
 from ..core.context import Context
 from ..core.errors import DerivationError
-from .instances import CHECKER, ENUM, GEN, resolve
+from .instances import (
+    CHECKER,
+    ENUM,
+    GEN,
+    Instance,
+    resolve,
+    resolve_compiled_instance,
+)
 from .interp_checker import DerivedChecker, HandwrittenChecker
 from .interp_enum import DerivedEnumerator, HandwrittenEnumerator
 from .interp_gen import DerivedGenerator, HandwrittenGenerator
@@ -48,6 +55,26 @@ def _gate(ctx: Context, rel: str, mode: Mode, kind: str, analysis: bool) -> None
     check_before_derive(ctx, rel, mode, kind)
 
 
+def _checked_mode(
+    ctx: Context,
+    kind: str,
+    rel: str,
+    mode: "str | Mode | Iterable[int] | None",
+    analysis: bool,
+) -> Mode:
+    """The built mode for a *kind* query on *rel*, after the
+    static-analysis gate has cleared it."""
+    if kind == CHECKER:
+        built = Mode.checker(ctx.relations.get(rel).arity)
+    else:
+        built = _as_mode(ctx, rel, mode)
+        if built.is_checker:
+            noun = "an enumerator" if kind == ENUM else "a generator"
+            raise DerivationError(f"{noun} mode needs at least one output")
+    _gate(ctx, rel, built, kind, analysis)
+    return built
+
+
 def derive_checker(ctx: Context, rel: str, *, analysis: bool = True) -> DerivedChecker:
     """Derive (or fetch) the semi-decision procedure for *rel*.
 
@@ -58,9 +85,8 @@ def derive_checker(ctx: Context, rel: str, *, analysis: bool = True) -> DerivedC
     the blocking premise/variable instead of a generic scheduling
     failure.
     """
-    arity = ctx.relations.get(rel).arity
-    _gate(ctx, rel, Mode.checker(arity), CHECKER, analysis)
-    instance = resolve(ctx, CHECKER, rel, Mode.checker(arity))
+    built = _checked_mode(ctx, CHECKER, rel, None, analysis)
+    instance = resolve(ctx, CHECKER, rel, built)
     owner = getattr(instance.fn, "__self__", None)
     if isinstance(owner, DerivedChecker):
         return owner
@@ -81,10 +107,7 @@ def derive_enumerator(
 
     ``Derive EnumSizedSuchThat for (fun out.. => P ..)``.
     """
-    built = _as_mode(ctx, rel, mode)
-    if built.is_checker:
-        raise DerivationError("an enumerator mode needs at least one output")
-    _gate(ctx, rel, built, ENUM, analysis)
+    built = _checked_mode(ctx, ENUM, rel, mode, analysis)
     instance = resolve(ctx, ENUM, rel, built)
     owner = getattr(instance.fn, "__self__", None)
     if isinstance(owner, DerivedEnumerator):
@@ -104,15 +127,28 @@ def derive_generator(
 
     ``Derive GenSizedSuchThat for (fun out.. => P ..)``.
     """
-    built = _as_mode(ctx, rel, mode)
-    if built.is_checker:
-        raise DerivationError("a generator mode needs at least one output")
-    _gate(ctx, rel, built, GEN, analysis)
+    built = _checked_mode(ctx, GEN, rel, mode, analysis)
     instance = resolve(ctx, GEN, rel, built)
     owner = getattr(instance.fn, "__self__", None)
     if isinstance(owner, DerivedGenerator):
         return owner
     return HandwrittenGenerator(ctx, instance)
+
+
+def compiled_instance(
+    ctx: Context,
+    kind: str,
+    rel: str,
+    mode: "str | Mode | Iterable[int] | None" = None,
+) -> Instance:
+    """The registry instance that runs ``(kind, rel, mode)`` as emitted
+    code: the compiled backend's, or a registered handwritten or
+    mutual-group instance as registered.  Gated and mode-checked like
+    the ``derive_*`` entry points (*mode* is ignored for checkers).
+    Its ``fn`` follows the internal calling conventions of
+    :mod:`repro.derive.instances`."""
+    built = _checked_mode(ctx, kind, rel, mode, True)
+    return resolve_compiled_instance(ctx, kind, rel, built)
 
 
 _KINDS = {

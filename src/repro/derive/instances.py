@@ -46,7 +46,7 @@ class Instance:
     rel: str
     mode: Mode
     fn: Callable[..., Any]
-    source: str  # 'handwritten' | 'derived' | 'derived-core' | 'compiled'
+    source: str  # 'handwritten' | 'derived' | 'derived-mutual' | 'compiled'
     schedule: Any = None  # Schedule for derived instances
 
 
@@ -54,6 +54,12 @@ def _key(kind: str, rel: str, mode: Mode, backend: str = "interp") -> tuple:
     if backend == "interp":
         return (kind, rel, str(mode))
     return (kind, rel, str(mode), backend)
+
+
+#: ``ctx.artifacts`` key of a counter :func:`register` bumps, so
+#: long-lived resolution caches (the serving engine's) can tell that a
+#: user registration may have changed what a shape resolves to.
+REGISTRY_EPOCH = "registry_epoch"
 
 
 def register(ctx: Context, instance: Instance, replace: bool = False) -> Instance:
@@ -71,6 +77,8 @@ def register(ctx: Context, instance: Instance, replace: bool = False) -> Instanc
                 del ctx.instances[k]
             invalidate_memo(ctx, instance.rel)
         ctx.instances[key] = instance
+        epoch = ctx.artifacts.get(REGISTRY_EPOCH, 0)
+        ctx.artifacts[REGISTRY_EPOCH] = epoch + 1
         return wrap_instance(ctx, instance)
 
 
@@ -210,14 +218,27 @@ def _derive_instance(
     return Instance(kind, rel, mode, fn, "derived", schedule)
 
 
-def resolve_compiled(ctx: Context, kind: str, rel: str, mode: Mode):
-    """The callable for ``(kind, rel, mode)`` under the compiled
-    backend — except that a registered *handwritten* instance always
-    wins (user-supplied code is already native Python)."""
+#: Registered sources the compiled backend serves as registered: user
+#: code is already native Python, and a ``derive_mutual`` group's
+#: shared fixpoint cannot be rebuilt by (acyclic) compiled resolution.
+AS_REGISTERED = frozenset({"handwritten", "derived-mutual"})
+
+
+def resolve_compiled_instance(
+    ctx: Context, kind: str, rel: str, mode: Mode
+) -> Instance:
+    """The :class:`Instance` serving ``(kind, rel, mode)`` under the
+    compiled backend — except that a registered handwritten or
+    mutual-group instance always wins (see :data:`AS_REGISTERED`)."""
     existing = lookup(ctx, kind, rel, mode)
-    if existing is not None and existing.source == "handwritten":
-        return wrap_instance(ctx, existing).fn
-    return resolve(ctx, kind, rel, mode, backend="compiled").fn
+    if existing is not None and existing.source in AS_REGISTERED:
+        return wrap_instance(ctx, existing)
+    return resolve(ctx, kind, rel, mode, backend="compiled")
+
+
+def resolve_compiled(ctx: Context, kind: str, rel: str, mode: Mode):
+    """The callable of :func:`resolve_compiled_instance`."""
+    return resolve_compiled_instance(ctx, kind, rel, mode).fn
 
 
 def resolve_compiled_checker(ctx: Context, rel: str):

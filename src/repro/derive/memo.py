@@ -54,6 +54,7 @@ at insertion, oldest entry first.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from ..core.context import Context
@@ -312,15 +313,14 @@ def _mark(wrapper: Callable[..., Any], raw: Callable[..., Any]) -> Callable[...,
     if source is not None:
         wrapper.__derived_source__ = source
     # Compiled-backend metadata rides along so introspection (source
-    # dumps, repr reports, batch entry discovery) sees through the
-    # wrapper.  The raw fixpoints (__spec_rec__/__spec_fast__) are
-    # deliberately NOT copied: compiled siblings that bind them would
-    # bypass this memo layer, defeating the table they should share.
+    # dumps, repr reports) sees through the wrapper.  The raw
+    # fixpoints (__spec_rec__/__spec_fast__) and the raw batch entry
+    # are deliberately NOT copied: callers that bind them would bypass
+    # this memo layer, defeating the table they should share.
     for attr in (
         "__spec_source__",
         "__spec_fast_source__",
         "__spec_reprs__",
-        "__batch__",
     ):
         meta = getattr(raw, attr, None)
         if meta is not None:
@@ -334,7 +334,25 @@ def _wrap_checker_fn(ctx: Context, rel: str, raw: Callable[..., Any]):
             ctx, rel, args, fuel, lambda: raw(fuel, args)
         )
 
-    return _mark(memo_check, raw)
+    wrapper = _mark(memo_check, raw)
+    raw_batch = getattr(raw, "__batch__", None)
+    if raw_batch is not None:
+
+        def memo_batch(fuel: int, argses) -> list:
+            # The memo flag is per session: read it once per vector.
+            # Off, the raw batch keeps its amortized dispatch; on,
+            # every element is a memoized top-level call.
+            if not ctx.caches.get(MEMO_FLAG):
+                return raw_batch(fuel, argses)
+            return [
+                checker_memo_call(
+                    ctx, rel, args, fuel, partial(raw, fuel, args)
+                )
+                for args in argses
+            ]
+
+        wrapper.__batch__ = memo_batch
+    return wrapper
 
 
 def _wrap_enum_fn(ctx: Context, rel: str, mode: str, raw: Callable[..., Any]):

@@ -24,7 +24,9 @@ fixpoint is realized by :class:`DerivedChecker`'s *group* map
 (relation name -> schedule), which the executor uses to route
 group-recursive ``reccheck`` ops to the sibling's plan at the
 decremented size.  Mutual groups stay on the interpreter backend:
-compiled resolution rejects the instance cycle before codegen runs.
+compiled resolution would reject the instance cycle before codegen
+runs, so once a group is registered it serves the group's checkers
+as registered (``resolve_compiled_instance``).
 """
 
 from __future__ import annotations

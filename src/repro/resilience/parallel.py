@@ -35,7 +35,6 @@ fall back to ``inline``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +76,8 @@ class CampaignProgress:
     def attach(self, shards: "list[Shard]") -> "CampaignProgress":
         """Allocate one row per shard (called by
         :func:`parallel_quick_check` before workers start)."""
+        import multiprocessing
+
         self.shards = list(shards)
         self._cells = multiprocessing.Array(
             "q", len(self.shards) * len(self.COLUMNS), lock=False
@@ -328,6 +329,10 @@ def parallel_quick_check(
         "telemetry": telemetry,
         "progress": progress,
     }
+    # Imported here, not at module load: ``import repro`` stays free of
+    # the multiprocessing stack until a campaign actually shards.
+    import multiprocessing
+
     if backend == "fork" and (
         "fork" not in multiprocessing.get_all_start_methods()
     ):

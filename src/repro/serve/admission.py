@@ -125,6 +125,9 @@ class AdmissionQueue:
         self.policy = policy
         self.on_shed = on_shed
         self._items: deque = deque()
+        #: tickets in ``_items`` (control sentinels excluded), kept by
+        #: every mutation so :meth:`qsize` and the bound are O(1)
+        self._tickets = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -133,9 +136,6 @@ class AdmissionQueue:
         self.shed_counts: dict = {}
 
     # -- internals ----------------------------------------------------------
-
-    def _count_tickets(self) -> int:
-        return sum(1 for it in self._items if isinstance(it, Ticket))
 
     def _shed(self, victims: "list[tuple[Ticket, str]]") -> None:
         # Outside the lock: resolving a future runs caller callbacks.
@@ -157,26 +157,25 @@ class AdmissionQueue:
                 admitted = False
             elif self.maxsize is not None:
                 if self.policy == "block":
-                    while (
-                        self._count_tickets() >= self.maxsize
-                        and not self._closing
-                    ):
+                    while self._tickets >= self.maxsize and not self._closing:
                         self._not_full.wait()
                     if self._closing:
                         victims.append((ticket, "shutdown"))
                         admitted = False
-                elif self._count_tickets() >= self.maxsize:
+                elif self._tickets >= self.maxsize:
                     if self.policy == "reject":
                         victims.append((ticket, "admission"))
                         admitted = False
                     else:  # shed_oldest: evict the head to make room
-                        for it in list(self._items):
-                            if isinstance(it, Ticket):
-                                self._items.remove(it)
-                                victims.append((it, "admission"))
-                                break
+                        oldest = next(
+                            it for it in self._items if isinstance(it, Ticket)
+                        )
+                        self._items.remove(oldest)
+                        self._tickets -= 1
+                        victims.append((oldest, "admission"))
             if admitted:
                 self._items.append(ticket)
+                self._tickets += 1
                 self._not_empty.notify()
         self._shed(victims)
         return admitted
@@ -193,9 +192,26 @@ class AdmissionQueue:
         items = list(items)
         with self._lock:
             self._items.extendleft(reversed(items))
+            self._tickets += sum(1 for it in items if isinstance(it, Ticket))
             self._not_empty.notify(len(items))
 
     # -- read side ----------------------------------------------------------
+
+    def _pop_live(self, victims: list):
+        """Under the lock: pop the head's next live item (a ticket that
+        has not expired, or a control sentinel), collecting expired
+        tickets into *victims*; ``None`` when the deque runs dry."""
+        items = self._items
+        while items:
+            candidate = items.popleft()
+            if isinstance(candidate, Ticket):
+                self._tickets -= 1
+                self._not_full.notify()
+                if candidate.expired():
+                    victims.append((candidate, "expired"))
+                    continue
+            return candidate
+        return None
 
     def get(self, timeout: "float | None" = None):
         """Dequeue the next live item: a :class:`Ticket` that has not
@@ -204,39 +220,47 @@ class AdmissionQueue:
         victims: list = []
         item = None
         with self._lock:
-            while True:
+            while item is None:
                 while not self._items:
                     if not self._not_empty.wait(timeout):
                         break
                 if not self._items:
                     break
-                candidate = self._items.popleft()
-                if isinstance(candidate, Ticket):
-                    self._not_full.notify()
-                    if candidate.expired():
-                        victims.append((candidate, "expired"))
-                        continue
-                item = candidate
-                break
+                item = self._pop_live(victims)
         self._shed(victims)
         return item
 
     def get_nowait(self):
         """Non-blocking :meth:`get`; ``None`` when empty."""
         victims: list = []
-        item = None
         with self._lock:
-            while self._items:
-                candidate = self._items.popleft()
-                if isinstance(candidate, Ticket):
-                    self._not_full.notify()
-                    if candidate.expired():
-                        victims.append((candidate, "expired"))
-                        continue
-                item = candidate
-                break
+            item = self._pop_live(victims)
         self._shed(victims)
         return item
+
+    def get_many(self, limit: int) -> "list[Ticket]":
+        """Dequeue up to *limit* live tickets in one lock hold (a
+        worker's batching window).  Stops early at an empty queue or at
+        a control sentinel, which stays queued at the head; expired
+        tickets are shed as in :meth:`get`."""
+        victims: list = []
+        out: list = []
+        items = self._items
+        with self._lock:
+            now = monotonic()
+            popped = 0
+            while len(out) < limit and items and isinstance(items[0], Ticket):
+                ticket = items.popleft()
+                popped += 1
+                if ticket.expired(now):
+                    victims.append((ticket, "expired"))
+                else:
+                    out.append(ticket)
+            if popped:
+                self._tickets -= popped
+                self._not_full.notify(popped)
+        self._shed(victims)
+        return out
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -260,16 +284,18 @@ class AdmissionQueue:
                 else:
                     keep.append(it)
             self._items = keep
+            self._tickets = 0
             self._not_full.notify_all()
         self._shed(victims)
         return len(victims)
 
     def qsize(self) -> int:
-        with self._lock:
-            return self._count_tickets()
+        """Queued tickets (sentinels excluded): one counter read — a
+        single int load, atomic under the GIL, so no lock is taken."""
+        return self._tickets
 
     def empty(self) -> bool:
-        return self.qsize() == 0
+        return self._tickets == 0
 
     def __repr__(self) -> str:
         return (

@@ -16,10 +16,26 @@ QueryResult`\\ s — a budget- or fuel-limited query *gives up*, it does
 not error, and a query the engine refuses to run is **shed** (also not
 an error).  Submission is non-blocking (:meth:`Engine.submit` returns
 a :class:`concurrent.futures.Future`); :meth:`Engine.arun` awaits the
-same future from asyncio.  Workers drain the queue in chunks and run
-same-relation check queries through the derived checker's amortized
-batch entry point (``check_batch``) when no budget applies — the
-batched front-end that makes point-query traffic cheap.
+same future from asyncio.
+
+Every query runs on *the instance callable* of its ``(kind, rel,
+mode)`` shape, resolved once per worker through
+:func:`~repro.derive.api.compiled_instance`: the compiled backend's
+emitted checker (``fn(fuel, args)``), enumerator (``enum_st``) or
+generator (``gen_st``), or a registered handwritten or
+``derive_mutual`` instance exactly as registered.  Resolution runs the
+static-analysis gate; a gate or derivation failure is a
+``status="error"`` result.  A per-worker registry-epoch check once per
+chunk lets ``register(..., replace=True)`` reach a running engine.
+
+A worker takes one ticket with a blocking get, then drains up to
+*batch_max* - 1 more live tickets in one queue-lock hold.  It groups
+same-relation check queries with no budget through the checker's
+amortized batch entry point (``fn.__batch__``) — the batched
+front-end that makes point-query traffic cheap — and runs the rest
+singly.  Counters are accounted once per chunk, before the chunk's
+futures resolve.  A query whose recursion overflows the Python stack
+gives up with ``GiveUp("depth")``; it never errors.
 
 High availability (PR 10) wraps three governors around that core:
 
@@ -47,8 +63,8 @@ High availability (PR 10) wraps three governors around that core:
   raises instead of queueing into the void.
 
 With ``queue_max=None`` (the default) none of the admission machinery
-is active and the hot path matches the PR 9 engine —
-``benchmarks/bench_admission.py`` pins the overhead at ≤ 1.05×.
+is active; ``benchmarks/bench_admission.py`` pins the engine at
+≤ 1.05× the frozen pre-admission engine on its batched workload.
 
 Chaos testing hooks: *faults* takes a :class:`~repro.resilience.
 faults.WorkerFaultPlan`; each worker counts the queries it claims
@@ -75,7 +91,8 @@ from typing import Any, Iterable
 from ..core.context import Context
 from ..core.errors import ReproError
 from ..core.session import activate_session
-from ..derive.api import derive_checker, derive_enumerator, derive_generator
+from ..derive.api import compiled_instance
+from ..derive.instances import CHECKER, ENUM, GEN, REGISTRY_EPOCH
 from ..derive.memo import enable_memoization
 from ..observe.metrics import Metrics
 from ..observe.telemetry import Telemetry
@@ -84,12 +101,13 @@ from ..producers.outcome import FAIL, OUT_OF_FUEL
 from ..quickchick.runner import _SEED_SOURCE
 from ..resilience.budget import budget_scope
 from .admission import AdmissionQueue, OverloadController, ShapeBreaker, Ticket
-from .queries import CheckQuery, EnumQuery, GenQuery, GiveUp, QueryResult
+from .queries import CheckQuery, GiveUp, QueryResult
 from .supervisor import Supervisor
 
 _CLOSE = object()  # worker shutdown sentinel
 
 _KINDS = {"CheckQuery": "check", "EnumQuery": "enum", "GenQuery": "gen"}
+_INSTANCE_KINDS = {"CheckQuery": CHECKER, "EnumQuery": ENUM, "GenQuery": GEN}
 
 #: The per-worker counter fields ``Engine.stats()`` renders, in the
 #: order of the legacy per-worker dicts.
@@ -221,6 +239,12 @@ class Engine:
         #: per-worker served-query ordinals (1-based), persisting across
         #: restarts so each planned fault fires exactly once
         self._ordinals: dict = {}
+        #: per worker: (registry epoch, {(kind, rel, mode): Instance})
+        self._resolved: "list[tuple | None]" = [None] * workers
+        self._worker_keys = [
+            tuple(f"serve.worker.{i}.{f}" for f in _WORKER_FIELDS)
+            for i in range(workers)
+        ]
         self._threads: "list[threading.Thread | None]" = [None] * workers
         self._started = False
         self._closing = False
@@ -403,20 +427,16 @@ class Engine:
         return out
 
     def prepare(self, queries: Iterable[Any]) -> None:
-        """Derive every instance the queries will need, up front —
-        first-query latency becomes load-time latency."""
+        """Derive and compile every instance the queries will run, up
+        front — first-query latency becomes load-time latency."""
         seen = set()
         for q in queries:
-            key = (type(q).__name__, q.rel, getattr(q, "mode", None))
-            if key in seen:
+            kind = _INSTANCE_KINDS.get(type(q).__name__)
+            key = (kind, q.rel, getattr(q, "mode", None))
+            if kind is None or key in seen:
                 continue
             seen.add(key)
-            if isinstance(q, CheckQuery):
-                derive_checker(self.ctx, q.rel)
-            elif isinstance(q, EnumQuery):
-                derive_enumerator(self.ctx, q.rel, q.mode)
-            elif isinstance(q, GenQuery):
-                derive_generator(self.ctx, q.rel, q.mode)
+            compiled_instance(self.ctx, *key)
 
     # -- supervision hooks ---------------------------------------------------
 
@@ -533,7 +553,7 @@ class Engine:
                     queue_seconds=queue_s,
                 )
             else:
-                self._bump(index, queries=1, errors=1)
+                self._bump(index, (1, 0, 0, 1))
             ticket.future.set_result(result)
         with self._lock:
             c = self._metrics.counters
@@ -554,39 +574,32 @@ class Engine:
                 # tables land in this worker's session.
                 enable_memoization(ctx)
         q = self._queue
+        window = self.batch_max - 1 if self.batch else 0
         while True:
             item = q.get()
             if item is None:
                 continue
             if item is _CLOSE:
                 return
-            chunk: list = []
+            chunk = [item]
             claiming: "Ticket | None" = item
             try:
+                # Claim the head before draining the window, so a
+                # planned stall parks the worker with the rest queued.
                 self._claim(index, item)
-                chunk.append(item)
-                if self.batch:
-                    while len(chunk) < self.batch_max:
-                        nxt = q.get_nowait()
-                        if nxt is None:
-                            break
-                        if nxt is _CLOSE:
-                            q.put_control(_CLOSE)  # keep the token live
-                            break
-                        claiming = nxt
-                        self._claim(index, nxt)
-                        chunk.append(nxt)
+                if window:
+                    chunk += q.get_many(window)
+                    if self.faults is not None:
+                        for claiming in chunk[1:]:
+                            self._claim(index, claiming)
                 claiming = None
                 self._serve_chunk(index, chunk)
             except BaseException as e:  # crash: never strand a Future
                 survivors = [t for t in chunk if not t.future.done()]
-                if (
-                    claiming is not None
-                    and claiming not in chunk
-                    and not claiming.future.done()
-                ):
+                if claiming is not None and claiming in survivors:
                     # The crash fired at claim time: the ticket being
                     # claimed is the in-flight victim.
+                    survivors.remove(claiming)
                     survivors.insert(0, claiming)
                 victim = survivors[0] if survivors else None
                 if len(survivors) > 1:
@@ -596,66 +609,111 @@ class Engine:
                 self._crash(index, victim, e)
                 return
 
+    def _shapes(self, index: int) -> dict:
+        """Worker *index*'s resolved instances by ``(kind, rel, mode)``.
+        Checked once per chunk against the registry epoch, so a
+        ``register(..., replace=True)`` reaches a running engine at its
+        next chunk; per worker, so every resolution (and memo wrapping)
+        happens in the worker's own session."""
+        epoch = self.ctx.artifacts.get(REGISTRY_EPOCH, 0)
+        cached = self._resolved[index]
+        if cached is None or cached[0] != epoch:
+            cached = self._resolved[index] = (epoch, {})
+        return cached[1]
+
+    def _instance(self, shapes: dict, kind: str, rel: str, mode) -> Any:
+        key = (kind, rel, mode)
+        inst = shapes.get(key)
+        if inst is None:
+            # Errors (unknown relation, analysis gate, unschedulable
+            # mode) are not cached: each query of the shape reports
+            # them, and the gate's report is cached by the context.
+            inst = shapes[key] = compiled_instance(self.ctx, kind, rel, mode)
+        return inst
+
     def _serve_chunk(self, index: int, chunk: list) -> None:
-        # Group plain check queries per (rel, fuel) for the amortized
+        # Group plain check queries per (rel, fuel) for the instance's
         # batch entry; everything else runs singly.  "Plain" excludes
         # budgets, deadlines, poison tags, and queries sampled for
-        # tracing — each of those needs its own execution.
+        # tracing — each of those needs its own execution.  Results
+        # resolve after the chunk's counters are accounted, once.
         tel = self.telemetry
-        groups: dict[tuple, list] = {}
-        singles: list = []
-        for t in chunk:
-            query = t.query
-            if (
-                isinstance(query, CheckQuery)
-                and t.deadline is None
-                and t.fault is None
-                and not self._limits(query)
-                and len(chunk) > 1
-                and not (
-                    tel is not None
-                    and tel.should_trace(t.qid, "check", query.rel)
+        shapes = self._shapes(index)
+        counts = [0, 0, 0, 0]  # _WORKER_FIELDS
+        done: list = []
+        try:
+            groups: dict[tuple, list] = {}
+            singles: list = []
+            plain = (
+                len(chunk) > 1
+                and self.max_ops is None
+                and self.deadline_seconds is None
+            )
+            for t in chunk:
+                query = t.query
+                if (
+                    plain
+                    and isinstance(query, CheckQuery)
+                    and query.max_ops is None
+                    and t.deadline is None
+                    and t.fault is None
+                    and not (
+                        tel is not None
+                        and tel.should_trace(t.qid, "check", query.rel)
+                    )
+                ):
+                    group = groups.get((query.rel, query.fuel))
+                    if group is None:
+                        groups[(query.rel, query.fuel)] = [t]
+                    else:
+                        group.append(t)
+                else:
+                    singles.append(t)
+            for (rel, fuel), items in groups.items():
+                if len(items) == 1:
+                    singles.extend(items)
+                    continue
+                self._serve_check_batch(
+                    index, shapes, rel, fuel, items, counts, done
                 )
-            ):
-                groups.setdefault((query.rel, query.fuel), []).append(t)
-            else:
-                singles.append(t)
-        for (rel, fuel), items in groups.items():
-            if len(items) == 1:
-                singles.extend(items)
-                continue
-            self._serve_check_batch(index, rel, fuel, items)
-        for t in singles:
-            if t.expired():
-                # The deadline passed while chunk neighbors were served.
-                self._shed_ticket(t, "expired")
-                continue
-            t.future.set_result(self._serve_one(index, t))
+            for t in singles:
+                if t.expired():
+                    # The deadline passed while chunk neighbors were served.
+                    self._shed_ticket(t, "expired")
+                    continue
+                done.append(
+                    (t.future, self._serve_one(index, shapes, t, counts))
+                )
+        finally:
+            if counts[0]:
+                self._bump(index, counts)
+            for fut, result in done:
+                fut.set_result(result)
 
-    def _bump(self, index: int, **fields: int) -> None:
-        # Telemetry-off accounting: the same locked registry stats()
-        # renders, without building an event.
+    def _bump(self, index: int, counts) -> None:
+        # Telemetry-off accounting, one lock hold per chunk: the same
+        # registry stats() renders, without building events.
         with self._lock:
             c = self._metrics.counters
-            for f, n in fields.items():
-                key = f"serve.worker.{index}.{f}"
-                c[key] = c.get(key, 0) + n
+            for key, n in zip(self._worker_keys[index], counts):
+                if n:
+                    c[key] = c.get(key, 0) + n
 
     def _serve_check_batch(
-        self, index: int, rel: str, fuel: int, items: list
+        self, index: int, shapes: dict, rel: str, fuel: int, items: list,
+        counts: list, done: list,
     ) -> None:
         t0 = monotonic()
         n = len(items)
         tel = self.telemetry
         try:
-            checker = derive_checker(self.ctx, rel)
-            batch_fn = getattr(checker, "check_batch", None)
+            fn = self._instance(shapes, CHECKER, rel, None).fn
+            argses = [tuple(t.query.args) for t in items]
+            batch_fn = getattr(fn, "__batch__", None)
             if batch_fn is None:
-                results = [
-                    checker.check(fuel, tuple(t.query.args)) for t in items
-                ]
+                results = [fn(fuel, args) for args in argses]
             else:
-                results = batch_fn(fuel, [tuple(t.query.args) for t in items])
+                results = batch_fn(fuel, argses)
         except ReproError as e:
             # A derive/schedule failure is shared by the whole group —
             # every query of this shape errors identically.
@@ -670,30 +728,33 @@ class Engine:
                 )
                 with self._lock:
                     c = self._metrics.counters
-                    key = f"serve.worker.{index}.errors"
+                    key = self._worker_keys[index][3]
                     c[key] = c.get(key, 0) + n
             else:
-                self._bump(index, queries=n, errors=n)
+                counts[0] += n
+                counts[3] += n
             for t in items:
-                t.future.set_result(
-                    QueryResult(
-                        t.query, "error", error=str(e),
-                        elapsed_seconds=elapsed, worker=index,
-                        qid=t.qid, queue_seconds=t0 - t.submitted,
-                    )
-                )
+                done.append((t.future, QueryResult(
+                    t.query, "error", error=str(e),
+                    elapsed_seconds=elapsed, worker=index,
+                    qid=t.qid, queue_seconds=t0 - t.submitted,
+                )))
             return
         except Exception:
-            # Anything else is one bad query's problem, not the
-            # group's: isolate by re-serving each singly (the single
-            # path errors the culprit and answers its neighbors).
+            # Anything else (a raise, a recursion too deep) is one bad
+            # query's problem, not the group's: isolate by re-serving
+            # each singly (the single path resolves the culprit and
+            # answers its neighbors).
             for t in items:
-                t.future.set_result(self._serve_one(index, t))
+                result = self._serve_one(index, shapes, t, counts)
+                done.append((t.future, result))
             return
         elapsed = (monotonic() - t0) / n
         out = []
+        gave_up = 0
         for t, res in zip(items, results):
             if res is NONE_OB:
+                gave_up += 1
                 result = QueryResult(
                     t.query, "gave_up", give_up=GiveUp("fuel"),
                     elapsed_seconds=elapsed, worker=index, batched=True,
@@ -718,13 +779,13 @@ class Engine:
                 ],
             )
         else:
-            gave_up = sum(1 for _, r in out if r.status == "gave_up")
-            self._bump(index, queries=n, batched=n, gave_up=gave_up)
+            counts[0] += n
+            counts[1] += n
+            counts[2] += gave_up
         ctl = self._overload
         if ctl is not None:
             self._note_level(ctl.observe(self._queue.qsize(), elapsed))
-        for fut, result in out:
-            fut.set_result(result)
+        done += out
 
     def _limits(self, query, remaining: "float | None" = None) -> dict:
         """The effective budget limits for *query* (empty = none).
@@ -757,13 +818,13 @@ class Engine:
         return out
 
     def _run_limited(
-        self, query, remaining: "float | None" = None
+        self, query, kind: str, shapes: dict, remaining: "float | None" = None
     ) -> QueryResult:
         limits = self._limits(query, remaining)
         if not limits:
-            return self._execute(query)
+            return self._execute(query, kind, shapes)
         with budget_scope(self.ctx, **limits) as bud:
-            result = self._execute(query)
+            result = self._execute(query, kind, shapes)
         if bud.exhausted is not None and (
             result.status == "gave_up" or result.complete is False
         ):
@@ -783,7 +844,9 @@ class Engine:
             )
         return result
 
-    def _serve_one(self, index: int, ticket: Ticket) -> QueryResult:
+    def _serve_one(
+        self, index: int, shapes: dict, ticket: Ticket, counts: list
+    ) -> QueryResult:
         tel = self.telemetry
         query = ticket.query
         qid = ticket.qid
@@ -799,24 +862,21 @@ class Engine:
                 from ..observe import observe
 
                 with observe(self.ctx, span_cap=tel.span_cap) as obs:
-                    result = self._run_limited(query, remaining)
+                    result = self._run_limited(query, kind, shapes, remaining)
                 spans = [s.as_dict() for s in obs.spans]
             else:
-                result = self._run_limited(query, remaining)
-        except ReproError as e:
-            result = QueryResult(query, "error", error=str(e))
+                result = self._run_limited(query, kind, shapes, remaining)
         except Exception as e:
             # Per-query isolation: a raise inside one query's execution
-            # is that query's error, never its neighbors' or the
+            # is that query's result, never its neighbors' or the
             # worker's.  (Real crashes — BaseException — still
             # propagate to the worker's crash handler.)
-            result = QueryResult(
-                query, "error", error=f"query execution failed: {e!r}"
-            )
+            result = _failed(query, e)
         result.elapsed_seconds = monotonic() - t0
         result.worker = index
         result.qid = qid
         result.queue_seconds = queue_s
+        status = result.status
         brk = self._breaker
         if brk is not None:
             brk.record(
@@ -835,7 +895,7 @@ class Engine:
                 kind=kind,
                 rel=getattr(query, "rel", "?"),
                 mode=getattr(query, "mode", ""),
-                status=result.status,
+                status=status,
                 reason=(
                     result.give_up.reason
                     if result.give_up is not None
@@ -847,28 +907,29 @@ class Engine:
                 batch=1,
                 spans=spans,
             )
-        elif result.status == "gave_up":
-            self._bump(index, queries=1, gave_up=1)
-        elif result.status == "error":
-            self._bump(index, queries=1, errors=1)
         else:
-            self._bump(index, queries=1)
+            counts[0] += 1
+            if status == "gave_up":
+                counts[2] += 1
+            elif status == "error":
+                counts[3] += 1
         return result
 
-    def _execute(self, query) -> QueryResult:
-        ctx = self.ctx
-        if isinstance(query, CheckQuery):
-            checker = derive_checker(ctx, query.rel)
-            res = checker.check(query.fuel, tuple(query.args))
+    def _execute(self, query, kind: str, shapes: dict) -> QueryResult:
+        """Run *query* on its shape's instance callable (internal
+        calling conventions, :mod:`repro.derive.instances`)."""
+        if kind == "check":
+            fn = self._instance(shapes, CHECKER, query.rel, None).fn
+            res = fn(query.fuel, tuple(query.args))
             if res is NONE_OB:
                 return QueryResult(query, "gave_up", give_up=GiveUp("fuel"))
             return QueryResult(query, "ok", value=res is SOME_TRUE)
-        if isinstance(query, EnumQuery):
-            enum = derive_enumerator(ctx, query.rel, query.mode)
+        if kind == "enum":
+            fn = self._instance(shapes, ENUM, query.rel, query.mode).fn
             values: list = []
             saw_fuel = truncated = False
             try:
-                for x in enum.enum_st(query.fuel, tuple(query.ins)):
+                for x in fn(query.fuel, tuple(query.ins)):
                     if x is OUT_OF_FUEL:
                         saw_fuel = True
                         continue
@@ -882,13 +943,7 @@ class Engine:
             except Exception as e:
                 # Mid-stream failure: the values found before the
                 # raise are still a sound partial answer — keep them.
-                msg = (
-                    str(e) if isinstance(e, ReproError)
-                    else f"query execution failed: {e!r}"
-                )
-                return QueryResult(
-                    query, "error", error=msg, value=values, complete=False
-                )
+                return _failed(query, e, value=values, complete=False)
             complete = not saw_fuel and not truncated
             if saw_fuel and not values:
                 return QueryResult(
@@ -896,25 +951,19 @@ class Engine:
                     give_up=GiveUp("fuel"),
                 )
             return QueryResult(query, "ok", value=values, complete=complete)
-        if isinstance(query, GenQuery):
-            gen = derive_generator(ctx, query.rel, query.mode)
+        if kind == "gen":
+            fn = self._instance(shapes, GEN, query.rel, query.mode).fn
             seed = (
                 query.seed
                 if query.seed is not None
                 else _SEED_SOURCE.randrange(2**63)
             )
             try:
-                res = gen.gen_st(
-                    query.fuel, tuple(query.ins), random.Random(seed)
-                )
+                res = fn(query.fuel, tuple(query.ins), random.Random(seed))
             except Exception as e:
                 # The seed makes even a crash replayable:
                 # GenQuery(..., seed=result.seed) reruns the draw.
-                msg = (
-                    str(e) if isinstance(e, ReproError)
-                    else f"query execution failed: {e!r}"
-                )
-                return QueryResult(query, "error", error=msg, seed=seed)
+                return _failed(query, e, seed=seed)
             if res is OUT_OF_FUEL:
                 return QueryResult(
                     query, "gave_up", give_up=GiveUp("fuel"), seed=seed
@@ -927,3 +976,17 @@ class Engine:
         return QueryResult(
             query, "error", error=f"unknown query type {type(query).__name__}"
         )
+
+
+def _failed(query, exc: Exception, **fields) -> QueryResult:
+    """The structured result of a query whose execution raised.  A
+    recursion too deep for the interpreter stack gives up (reason
+    ``"depth"``, like a budget's depth limit); anything else is an
+    error, a :class:`ReproError` reported by its message."""
+    if isinstance(exc, RecursionError):
+        return QueryResult(query, "gave_up", give_up=GiveUp("depth"), **fields)
+    msg = (
+        str(exc) if isinstance(exc, ReproError)
+        else f"query execution failed: {exc!r}"
+    )
+    return QueryResult(query, "error", error=msg, **fields)

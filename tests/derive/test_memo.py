@@ -349,3 +349,42 @@ class TestStatsCounters:
         out = resolved.fn(6, (from_list([]), V("Con", V("O"))), rng)
         assert out is not None
         assert stats.gen_calls >= 1
+
+
+class TestBatchEntry:
+    """The compiled checker's amortized ``__batch__`` entry, seen
+    through the memo wrapper: it must share the memo table with
+    single calls, not bypass it."""
+
+    ARGSES = [(from_int(a), from_int(a + 2)) for a in range(5)]
+
+    def test_batch_hits_the_memo_table(self, nat_ctx):
+        stats = enable_memoization(nat_ctx)
+        fn = resolve_compiled_checker(nat_ctx, "le")
+        assert getattr(fn, "__memo_wrapped__", False)
+        first = fn.__batch__(16, self.ARGSES)
+        assert stats.checker_cache_misses == len(self.ARGSES)
+        for _ in range(4):
+            assert fn.__batch__(16, self.ARGSES) == first
+        assert stats.checker_cache_hits == 4 * len(self.ARGSES)
+        assert stats.checker_cache_misses == len(self.ARGSES)
+        # Single calls read the entries the batch wrote.
+        assert fn(16, self.ARGSES[0]) is first[0]
+        assert stats.checker_cache_hits == 4 * len(self.ARGSES) + 1
+
+    def test_batch_answers_match_single_calls(self, nat_ctx):
+        enable_memoization(nat_ctx)
+        fn = resolve_compiled_checker(nat_ctx, "le")
+        argses = self.ARGSES + [(from_int(9), from_int(2))]
+        for fuel in (1, 4, 16):
+            assert fn.__batch__(fuel, argses) == [
+                fn(fuel, args) for args in argses
+            ]
+
+    def test_memo_flag_off_takes_the_raw_batch(self, nat_ctx):
+        stats = enable_memoization(nat_ctx)
+        fn = resolve_compiled_checker(nat_ctx, "le")
+        nat_ctx.caches["memo_enabled"] = False  # another session's view
+        assert fn.__batch__(16, self.ARGSES) == [SOME_TRUE] * len(self.ARGSES)
+        assert stats.checker_calls == 0
+        assert not nat_ctx.caches[CHECKER_MEMO]

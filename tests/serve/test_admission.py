@@ -518,23 +518,23 @@ class TestSeedRecording:
 
     def test_erroring_enum_keeps_partial_values(self, nat_ctx):
         # An enumerator that raises mid-stream must surface the values
-        # found so far, not discard them.
-        from repro.derive.api import derive_enumerator
-
-        enum = derive_enumerator(nat_ctx, "le", "oi")
-        real = enum.enum_st
+        # found so far, not discard them.  The failing stream is
+        # injected through the registry: a handwritten enumerator that
+        # replaces the derived one, which the engine then serves.
+        from repro.derive.instances import ENUM, register_producer
+        from repro.derive.modes import Mode
 
         def explode(fuel, ins):
-            it = real(fuel, ins)
-            yield next(it)
-            yield next(it)
+            yield (nat(0),)
+            yield (nat(1),)
             raise ValueError("stream corrupted")
 
+        register_producer(
+            nat_ctx, ENUM, "le", Mode.from_string("oi"), explode,
+            replace=True,
+        )
         with Engine(nat_ctx, workers=1) as eng:
-            import unittest.mock as mock
-
-            with mock.patch.object(enum, "enum_st", explode):
-                res = eng.run(EnumQuery("le", "oi", (nat(5),), fuel=10))
+            res = eng.run(EnumQuery("le", "oi", (nat(5),), fuel=10))
         assert res.status == "error"
         assert "stream corrupted" in res.error
         assert len(res.value) == 2

@@ -467,3 +467,426 @@ class TestTelemetry:
         assert res.status == "error"
         assert "worker crashed" in res.error
         assert res.qid == 2
+
+
+# -- the compiled executors ---------------------------------------------------
+
+EVEN_ODD = """
+Inductive even : nat -> Prop :=
+| even_0 : even 0
+| even_S : forall n, odd n -> even (S n)
+with odd : nat -> Prop :=
+| odd_S : forall n, even n -> odd (S n).
+"""
+
+UNSTRAT = """
+Inductive unstrat : nat -> Prop :=
+| us_0 : unstrat 0
+| us_S : forall n, ~ (unstrat n) -> unstrat (S n).
+"""
+
+
+def _stall_first(seconds=0.2):
+    """Park worker 0 at its first claim so the queries submitted
+    meanwhile queue up and drain as one chunk (the batched path)."""
+    from repro.resilience import WorkerFaultPlan
+
+    return WorkerFaultPlan.from_events((0, 1, "stall"), stall_seconds=seconds)
+
+
+def _run_chunked(ctx, queries, **engine_kw):
+    """Serve *queries* as one chunk behind a parked first query."""
+    with Engine(ctx, workers=1, faults=_stall_first(), **engine_kw) as eng:
+        eng.prepare(queries)
+        results = eng.run_batch(queries)
+        sources = _served_sources(eng)
+    return results, sources
+
+
+def _served_sources(eng):
+    return {key: inst.source for key, inst in eng._resolved[0][1].items()}
+
+
+class TestCompiledExecutors:
+    def test_served_queries_run_compiled_instances(self, nat_ctx, monkeypatch):
+        # Any interpreter execution would now raise — and resolve as an
+        # error result — so ok answers prove the compiled code ran.
+        from repro.derive import interp_checker as ic
+        from repro.derive import interp_enum as ie
+        from repro.derive import interp_gen as ig
+
+        def interpreter_called(*a, **k):
+            raise AssertionError("the interpreter ran a served query")
+
+        monkeypatch.setattr(ic, "run_checker", interpreter_called)
+        monkeypatch.setattr(ie, "run_enum", interpreter_called)
+        monkeypatch.setattr(ig, "run_gen", interpreter_called)
+        checks = [
+            CheckQuery("le", (nat(a), nat(3)), fuel=16) for a in range(6)
+        ]
+        others = [
+            CheckQuery("le", (nat(2), nat(4)), deadline_seconds=5.0),
+            EnumQuery("le", "oi", (nat(3),), fuel=6),
+            GenQuery("le", "oi", (nat(5),), fuel=8, seed=1),
+        ]
+        results, sources = _run_chunked(nat_ctx, checks + others)
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert [r.value for r in results[:6]] == [a <= 3 for a in range(6)]
+        assert all(r.batched for r in results[:6])
+        assert sorted(unnat(t[0]) for t in results[7].value) == [0, 1, 2, 3]
+        assert unnat(results[8].value[0]) <= 5
+        assert sources == {
+            ("checker", "le", None): "compiled",
+            ("enum", "le", "oi"): "compiled",
+            ("gen", "le", "oi"): "compiled",
+        }
+
+    def test_handwritten_instances_serve_as_registered(self, nat_ctx):
+        from repro.derive.instances import (
+            ENUM,
+            GEN,
+            register_checker,
+            register_producer,
+        )
+        from repro.derive.modes import Mode
+        from repro.producers.option_bool import SOME_FALSE
+
+        calls = []
+
+        def never(fuel, args):  # deliberately wrong: proves who answered
+            calls.append(args)
+            return SOME_FALSE
+
+        register_checker(nat_ctx, "le", never)
+        register_producer(
+            nat_ctx, ENUM, "le", Mode.from_string("oi"),
+            lambda fuel, ins: iter([(nat(7),)]),
+        )
+        register_producer(
+            nat_ctx, GEN, "le", Mode.from_string("oi"),
+            lambda fuel, ins, rng: (nat(9),),
+        )
+        checks = [CheckQuery("le", (nat(1), nat(b))) for b in range(2, 6)]
+        others = [
+            EnumQuery("le", "oi", (nat(3),)),
+            GenQuery("le", "oi", (nat(3),), seed=0),
+        ]
+        results, sources = _run_chunked(nat_ctx, checks + others)
+        assert [r.value for r in results[:4]] == [False] * 4
+        assert all(r.batched for r in results[:4])
+        assert len(calls) == 4
+        assert [unnat(t[0]) for t in results[4].value] == [7]
+        assert unnat(results[5].value[0]) == 9
+        assert set(sources.values()) == {"handwritten"}
+
+    def test_mutual_group_serves_as_registered(self, nat_ctx):
+        from repro.core import parse_declarations
+        from repro.derive.mutual import derive_mutual_checkers
+
+        parse_declarations(nat_ctx, EVEN_ODD)
+        derive_mutual_checkers(nat_ctx, ["even", "odd"])
+        queries = [CheckQuery("even", (nat(n),), fuel=32) for n in range(8)]
+        queries += [CheckQuery("odd", (nat(5),), fuel=32)]
+        results, sources = _run_chunked(nat_ctx, queries)
+        assert [r.value for r in results] == [n % 2 == 0 for n in range(8)] + [
+            True
+        ]
+        assert set(sources.values()) == {"derived-mutual"}
+
+    def test_replace_takes_effect_on_running_engine(self, nat_ctx):
+        from repro.derive.instances import register_checker
+        from repro.producers.option_bool import SOME_FALSE
+
+        queries = [CheckQuery("le", (nat(1), nat(b))) for b in range(2, 6)]
+        with Engine(nat_ctx, workers=1) as eng:
+            assert eng.run(queries[0]).value is True
+            assert [r.value for r in eng.run_batch(queries)] == [True] * 4
+            register_checker(
+                nat_ctx, "le", lambda fuel, args: SOME_FALSE, replace=True
+            )
+            assert eng.run(queries[0]).value is False
+            assert [r.value for r in eng.run_batch(queries)] == [False] * 4
+            assert _served_sources(eng) == {
+                ("checker", "le", None): "handwritten"
+            }
+
+    def test_gate_runs_once_per_shape_with_structured_errors(
+        self, nat_ctx, monkeypatch
+    ):
+        import repro.analysis.checks as checks
+        from repro.core import parse_declarations
+
+        parse_declarations(nat_ctx, UNSTRAT)
+        runs = []
+        real = checks.analyze
+
+        def counting(*a, **k):
+            runs.append(a[1:3])
+            return real(*a, **k)
+
+        monkeypatch.setattr(checks, "analyze", counting)
+        queries = [CheckQuery("unstrat", (nat(n),)) for n in range(5)]
+        with Engine(nat_ctx, workers=1, faults=_stall_first()) as eng:
+            batched = eng.run_batch(queries)
+            single = eng.run(queries[0])
+        for r in batched + [single]:
+            assert r.status == "error"
+            assert "static analysis rejected 'unstrat'" in r.error
+        assert len(runs) == 1
+
+    def test_memoized_engine_hits_on_the_batched_path(self, nat_ctx):
+        from repro.derive.api import compiled_instance
+        from repro.derive.instances import CHECKER
+
+        # Count the raw compiled checker's calls, under the memo layer
+        # the memoizing workers wrap around it.
+        inst = compiled_instance(nat_ctx, CHECKER, "le")
+        assert inst.source == "compiled"
+        raw = inst.fn
+        calls = {"single": 0, "batch": 0}
+
+        def counted(fuel, args):
+            calls["single"] += 1
+            return raw(fuel, args)
+
+        def counted_batch(fuel, argses):
+            calls["batch"] += len(argses)
+            return raw.__batch__(fuel, argses)
+
+        counted.__batch__ = counted_batch
+        inst.fn = counted
+        queries = [
+            CheckQuery("le", (nat(a), nat(4)), fuel=16) for a in range(8)
+        ]
+        with Engine(
+            nat_ctx, workers=1, memoize=True, faults=_stall_first()
+        ) as eng:
+            rounds = [eng.run_batch(queries) for _ in range(3)]
+        for results in rounds:
+            assert [r.value for r in results] == [a <= 4 for a in range(8)]
+        assert sum(r.batched for r in rounds[0]) >= 7
+        # Every distinct query computed once; the rest were memo hits.
+        assert calls == {"single": 8, "batch": 0}
+
+
+# -- give-ups on deep recursion -----------------------------------------------
+
+@pytest.fixture
+def shallow_stack():
+    """A low recursion limit, so a deep query overflows fast and on
+    every Python version."""
+    import sys
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+DEPTH = 20_000
+
+
+class TestDepthGiveUp:
+    def _add_ctx(self, nat_ctx):
+        from repro.core import parse_declarations
+
+        parse_declarations(
+            nat_ctx,
+            "Inductive add : nat -> nat -> nat -> Prop :=\n"
+            "| add_O : forall m, add O m m\n"
+            "| add_S : forall n m p, add n m p -> add (S n) m (S p).\n",
+        )
+        return nat_ctx
+
+    def test_single_path_check_gives_up_on_depth(self, nat_ctx, shallow_stack):
+        q = CheckQuery("le", (nat(0), nat(DEPTH)), fuel=DEPTH + 8,
+                       deadline_seconds=30.0)
+        with Engine(nat_ctx, workers=1) as eng:
+            res = eng.run(q)
+            after = eng.run(CheckQuery("le", (nat(1), nat(2))))
+        assert res.status == "gave_up"
+        assert res.give_up.reason == "depth"
+        assert res.error is None
+        assert after.ok and after.value is True
+
+    def test_gen_gives_up_on_depth_with_its_seed(self, nat_ctx, shallow_stack):
+        ctx = self._add_ctx(nat_ctx)
+        q = GenQuery("add", "iio", (nat(DEPTH), nat(1)), fuel=DEPTH + 8,
+                     seed=4)
+        with Engine(ctx, workers=1) as eng:
+            res = eng.run(q)
+        assert res.status == "gave_up"
+        assert res.give_up.reason == "depth"
+        assert res.seed == 4
+
+    def test_enum_gives_up_on_depth_keeping_partial_values(
+        self, nat_ctx, shallow_stack
+    ):
+        from repro.derive.instances import ENUM, register_producer
+        from repro.derive.modes import Mode
+
+        def sink(n):
+            return sink(n + 1)
+
+        def deep_enum(fuel, ins):
+            yield (nat(0),)
+            sink(0)
+
+        register_producer(
+            nat_ctx, ENUM, "le", Mode.from_string("oi"), deep_enum
+        )
+        with Engine(nat_ctx, workers=1) as eng:
+            res = eng.run(EnumQuery("le", "oi", (nat(3),)))
+        assert res.status == "gave_up"
+        assert res.give_up.reason == "depth"
+        assert res.complete is False
+        assert [unnat(t[0]) for t in res.value] == [0]
+
+    def test_batched_path_gives_up_on_depth(self, nat_ctx, shallow_stack):
+        from repro.derive.instances import register_checker
+        from repro.producers.option_bool import SOME_TRUE
+
+        def countdown(fuel, args):  # one frame per unit of fuel
+            return countdown(fuel - 1, args) if fuel else SOME_TRUE
+
+        register_checker(nat_ctx, "le", countdown)
+        deep = CheckQuery("le", (nat(0), nat(0)), fuel=DEPTH)
+        shallow = CheckQuery("le", (nat(0), nat(0)), fuel=8)
+        queries = [shallow, deep, shallow, deep]
+        with Engine(nat_ctx, workers=1, faults=_stall_first()) as eng:
+            results = eng.run_batch(queries)
+            stats = eng.stats()
+        assert [r.status for r in results] == ["ok", "gave_up"] * 2
+        assert all(r.value is True for r in results[::2])
+        assert all(r.give_up.reason == "depth" for r in results[1::2])
+        assert stats["per_worker"][0]["errors"] == 0
+        assert stats["per_worker"][0]["gave_up"] == 2
+
+
+# -- engine answers equal direct interpreter answers --------------------------
+
+def _direct(ctx, q):
+    """The interpreter's answer to *q*, outside the engine: the public
+    ``derive_*`` objects, under the query's own op budget."""
+    import random
+
+    from repro.derive.api import (
+        derive_checker,
+        derive_enumerator,
+        derive_generator,
+    )
+    from repro.producers.option_bool import NONE_OB, SOME_TRUE
+    from repro.producers.outcome import OUT_OF_FUEL
+    from repro.resilience import budget_scope
+
+    def run():
+        if isinstance(q, CheckQuery):
+            res = derive_checker(ctx, q.rel).check(q.fuel, tuple(q.args))
+            return ("gave_up", None) if res is NONE_OB else (
+                "ok", res is SOME_TRUE
+            )
+        if isinstance(q, EnumQuery):
+            values, saw_fuel = [], False
+            for x in derive_enumerator(ctx, q.rel, q.mode).enum_st(
+                q.fuel, tuple(q.ins)
+            ):
+                if x is OUT_OF_FUEL:
+                    saw_fuel = True
+                    continue
+                values.append(x)
+                if q.max_values is not None and len(values) >= q.max_values:
+                    break
+            if saw_fuel and not values:
+                return ("gave_up", values)
+            return ("ok", values)
+        res = derive_generator(ctx, q.rel, q.mode).gen_st(
+            q.fuel, tuple(q.ins), random.Random(q.seed)
+        )
+        return ("ok", res) if isinstance(res, tuple) else ("gave_up", None)
+
+    if q.max_ops is None:
+        return run()
+    with budget_scope(ctx, max_ops=q.max_ops) as bud:
+        status, value = run()
+    if bud.exhausted is not None:
+        status = "gave_up"
+    return status, value
+
+
+def _differential_queries(rels):
+    qs = []
+    for a in range(5):
+        for b in range(5):
+            qs.append(CheckQuery("le", (nat(a), nat(b)), fuel=3 + a))
+    qs += [
+        CheckQuery(rel, (nat(n),), fuel=12) for rel in rels for n in range(7)
+    ]
+    for n in range(4):
+        qs.append(EnumQuery("le", "oi", (nat(n),), fuel=2 + n))
+        qs.append(GenQuery("le", "oi", (nat(n + 2),), fuel=6, seed=n))
+    qs.append(EnumQuery("ev", "o", (), fuel=6, max_values=4))
+    qs.append(GenQuery("ev", "o", (), fuel=6, seed=11))
+    # Per-query budgets: some trip, some are ample.
+    qs += [
+        CheckQuery("le", (nat(20), nat(30)), fuel=64, max_ops=ops)
+        for ops in (5, 50, 100_000)
+    ]
+    qs += [
+        EnumQuery("le", "oi", (nat(30),), fuel=40, max_ops=ops)
+        for ops in (40, 100_000)
+    ]
+    qs.append(GenQuery("le", "oi", (nat(6),), fuel=8, seed=3, max_ops=100_000))
+    return qs
+
+
+def _differential_ctx(variant):
+    from repro.core import parse_declarations
+    from repro.stdlib import standard_context
+
+    from ..conftest import NAT_RELATIONS
+
+    ctx = standard_context()
+    parse_declarations(ctx, NAT_RELATIONS)
+    rels = ["ev"]
+    if variant == "spec_off":
+        from repro.derive.specialize import disable_specialization
+
+        disable_specialization(ctx)
+    elif variant == "handwritten":
+        from repro.derive.instances import register_checker
+        from repro.producers.option_bool import SOME_FALSE, SOME_TRUE
+
+        def ev(fuel, args):
+            return SOME_TRUE if unnat(args[0]) % 2 == 0 else SOME_FALSE
+
+        register_checker(ctx, "ev", ev)
+    elif variant == "mutual":
+        from repro.derive.mutual import derive_mutual_checkers
+
+        parse_declarations(ctx, EVEN_ODD)
+        derive_mutual_checkers(ctx, ["even", "odd"])
+        rels = ["ev", "even", "odd"]
+    return ctx, rels
+
+
+@pytest.mark.parametrize(
+    "variant", ["default", "spec_off", "handwritten", "mutual"]
+)
+def test_engine_answers_equal_interpreter_answers(variant):
+    ctx, rels = _differential_ctx(variant)
+    queries = _differential_queries(rels)
+    with Engine(ctx, workers=1, faults=_stall_first()) as eng:
+        served = eng.run_batch(queries)
+    assert any(r.batched for r in served)
+    assert {r.status for r in served} == {"ok", "gave_up"}
+    for q, r in zip(queries, served):
+        status, value = _direct(ctx, q)
+        assert r.status == status, q
+        if isinstance(q, CheckQuery):
+            assert r.value == value, q
+        elif isinstance(q, EnumQuery):
+            assert r.value == value, q
+        elif status == "ok":
+            assert r.value == value, q
