@@ -27,11 +27,40 @@ Compilation scheme (checker):
   ``continue``\\ s; the handler returns ``Some false`` only when the
   flag stayed clear).
 
+One compiler class, :class:`_PlanCompiler`, emits every fixpoint, and
+one op walker (:meth:`_PlanCompiler._emit_ops`) emits every
+fixpoint of the checker protocol family.  The walker is configured by
+three things:
+
+* the *repr policy*: a plan's :class:`~repro.derive.specialize.SpecInfo`
+  (native ``nat``/``list`` slots, eager unboxing at projections,
+  premises bound to their specialized twins), or *pinned-boxed*
+  (``info=None``: every slot stays a ``Value``, no partial coercion is
+  emitted, and premises are called through their public entry so memo
+  wrappers stay in the path);
+* *instrumented or fast*: the fast twin omits every trace/observe/
+  budget site instead of guarding it;
+* the *outcome protocol and frame*: checker verdicts (``SOME_TRUE`` /
+  ``SOME_FALSE`` / ``NONE_OB``) or eval answers (tuple / ``None`` /
+  ``OUT_OF_FUEL``); handler bodies either sit in their own function or
+  are inlined into a fixpoint body, and that body is either the fast
+  twin's own ``rec`` or a premise spliced into its caller with
+  prefixed locals and rebound exits.
+
+The configurations in use are the boxed ``rec`` (pinned-boxed,
+instrumented; total, so it is the ``SpecCoercionError`` fallback),
+``__spec_rec__`` (spec, instrumented), ``__spec_fast__`` (spec, fast,
+straight-line handlers inlined, ``det`` premises spliced) and the eval
+twin ``__spec_eval_rec__`` (pinned-boxed, fast, eval protocol).
+
 Enumerators compile to Python generator functions (``yield`` /
 ``yield from``), generators to single-sample recursive functions with
-the weighted-backtrack loop at the top.  External instances are
-resolved at compile time through the registry (with the ``compiled``
-backend preferred, so whole dependency trees compile together).
+the weighted-backtrack loop at the top.  Those two walkers stay
+separate from the checker walker: their control protocols differ, and
+folding them in would make the walker branch on its caller.  External
+instances are resolved at compile time through the registry (with the
+``compiled`` backend preferred, so whole dependency trees compile
+together).
 
 Profiling, observation, and budget hooks are threaded through the
 emitted ``rec``: one ``caches.get('derive_trace')`` plus one
@@ -49,7 +78,7 @@ span trees, and replay a deterministic fault schedule identically.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.context import Context
 from ..core.errors import ReproError, UnknownNameError
@@ -91,31 +120,116 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
+class _Protocol(NamedTuple):
+    """The outcomes the checker walker reports: a handler's indefinite
+    and definite-miss results, and the whole fixpoint's definite miss.
+    A handler's success is ``SOME_TRUE``, or its answer tuple when
+    *answers* is set."""
+
+    indef: str
+    miss: str
+    top_miss: str
+    answers: bool
+
+
+_CHECKER = _Protocol("NONE_OB", "SOME_FALSE", "SOME_FALSE", False)
+_EVAL = _Protocol("OUT_OF_FUEL", "None", "FAIL", True)
+
+
+class _SpecUnsupported(Exception):
+    """Raised during specialized emission when the plan does something
+    the pass cannot represent; ``compile_checker`` falls back to the
+    boxed-only artifact."""
+
+
 class _PlanCompiler:
+    """Compiles one plan to one fixpoint.
+
+    *kind* is ``'checker'``, ``'eval'`` (the direct-eval twin of an enum
+    plan), ``'enum'`` or ``'gen'``; the first two share the checker
+    walker.  *info* is the repr policy (``None`` pins every slot boxed),
+    *fast* omits the trace/observe/budget sites, and *rbox* is the boxed
+    checker fixpoint a specialized one hands repr-mismatched self-calls
+    to.  A compiler built with *host* emits a premise spliced into the
+    host's function body: its locals carry *prefix*, and its names bind
+    in the host's namespace.
+
+    Under a spec policy, reprs are tracked per slot during emission;
+    every specialized/boxed boundary (external calls into unspecialized
+    siblings, function impls, producer loops) boxes with total
+    coercions, so the only partial coercions are the statically
+    type-directed eager unboxes at ``TESTCTOR`` projections — those
+    raise :class:`~repro.derive.specialize.SpecCoercionError`, which
+    the entry wrapper catches by re-running the boxed twin.
+    """
+
     def __init__(
-        self, ctx: Context, plan: Plan, kind: str, fast: bool = False
+        self,
+        ctx: Context,
+        plan: Plan,
+        kind: str,
+        fast: bool = False,
+        info=None,
+        rbox=None,
+        host: "_PlanCompiler | None" = None,
+        prefix: str = "",
     ) -> None:
         self.ctx = ctx
         self.plan = plan
-        self.kind = kind  # 'checker' | 'enum' | 'gen'
-        # fast=True emits the instrumentation-free twin: the
-        # trace/observe/budget locals are pinned to None (every guarded
-        # site is a no-op exactly when those caches are empty, which is
-        # the only state in which entry wrappers select this twin).
+        self.kind = kind
         self.fast = fast
-        self.globals: dict[str, Any] = {
-            "Value": Value,
-            "SOME_TRUE": SOME_TRUE,
-            "SOME_FALSE": SOME_FALSE,
-            "NONE_OB": NONE_OB,
-            "OUT_OF_FUEL": OUT_OF_FUEL,
-            "FAIL": FAIL,
-            "_negate": negate,
-            "_ctx": ctx,
-        }
-        self._const_cache: dict[Value, str] = {}
-        self._fn_cache: dict[int, str] = {}
-        self._counter = 0
+        self.info = info
+        self.proto = {"checker": _CHECKER, "eval": _EVAL}.get(kind)
+        self.reprs = (
+            info.entry_reprs
+            if info is not None
+            else (specialize.BOX,) * plan.n_ins
+        )
+        self.pfx = prefix
+        self.rec_name = "rec"
+        if host is None:
+            self.globals: dict[str, Any] = {
+                "Value": Value,
+                "SOME_TRUE": SOME_TRUE,
+                "SOME_FALSE": SOME_FALSE,
+                "NONE_OB": NONE_OB,
+                "OUT_OF_FUEL": OUT_OF_FUEL,
+                "FAIL": FAIL,
+                "_negate": negate,
+                "_ctx": ctx,
+                "_rbox": rbox,
+                "_box_nat": specialize.box_nat,
+                "_unbox_nat": specialize.unbox_nat,
+            }
+            self._const_cache: dict[Value, str] = {}
+            self._fn_cache: dict[int, str] = {}
+            self._coercers: dict = {}
+            self._counter = 0
+        else:
+            self.globals = host.globals
+            self._const_cache = host._const_cache
+            self._fn_cache = host._fn_cache
+            self._coercers = host._coercers
+            self._bind_global = host._bind_global  # shares name uniquing
+        self._srepr: dict[int, Any] = {}
+        self._stype: dict[int, "TypeExpr | None"] = {}
+        # The inline frame (fast checkers): whether handler ops sit in
+        # the fixpoint body, where a failed handler goes, whether a
+        # final self-call may become a tail jump, the head constructor
+        # the current dispatch arm has established, and the frame's
+        # success, exhaustion and next-handler-guard statements.
+        self._inline = False
+        self._inline_fail = "break"
+        self._tail_ok = False
+        self._branch_key = None
+        self._success: tuple = ()
+        self._exhausted = ""
+        self._guard: "str | None" = None
+        # Cross-relation splicing (fast twin only): per-site prefix
+        # counter and a per-relation eligibility cache (None = not
+        # spliceable, else (plan, info, fast_fn) of the premise).
+        self._inline_n = 0
+        self._inline_cache: dict[str, Any] = {}
 
     # -- helpers -----------------------------------------------------------------
 
@@ -132,15 +246,17 @@ class _PlanCompiler:
         return cached
 
     def constant(self, value: Value) -> str:
+        value = specialize.intern_value(value)
         if value not in self._const_cache:
             self._const_cache[value] = self._bind_global("_const", value)
         return self._const_cache[value]
 
     def slot(self, i: int) -> str:
-        return f"_in{i}" if i < self.plan.n_ins else f"_s{i}"
+        base = f"_in{i}" if i < self.plan.n_ins else f"_s{i}"
+        return self.pfx + base
 
     def expr(self, e: tuple) -> str:
-        """Compile a lowered expression to a Python expression."""
+        """Compile a lowered expression to a boxed Python expression."""
         tag = e[0]
         if tag == X_SLOT:
             return self.slot(e[1])
@@ -154,42 +270,25 @@ class _PlanCompiler:
         return f"{fn_name}({args})"
 
     def args_tuple(self, exprs: tuple) -> str:
-        inner = ", ".join(self.expr(e) for e in exprs)
+        inner = ", ".join(self.boxed(e) for e in exprs)
         trailing = "," if len(exprs) == 1 else ""
         return f"({inner}{trailing})"
 
     def _emit_instr_locals(self, em: _Emitter) -> None:
         if self.fast:
-            em.emit("_tr = _ob = _bud = None")
+            em.emit("_tr = _ob = None")
             return
         em.emit("_caches = _ctx.caches")
         em.emit("_tr = _caches.get('derive_trace')")
         em.emit("_ob = _caches.get('derive_observe')")
-        em.emit("_bud = _ctx.caches.get('derive_budget')")
+        em.emit("_bud = _caches.get('derive_budget')")
 
-    def _fail(self, em: _Emitter, cond: str, fail: str) -> None:
+    def _emit_if(self, em: _Emitter, cond: str, *stmts: str) -> None:
         em.emit(f"if {cond}:")
         em.indent += 1
-        em.emit(fail)
+        for stmt in stmts:
+            em.emit(stmt)
         em.indent -= 1
-
-    def _emit_test(self, em: _Emitter, op: tuple, fail: str) -> None:
-        """The deterministic test ops, identical in every backend."""
-        tag = op[0]
-        if tag == OP_TESTCTOR:
-            src = self.slot(op[1])
-            self._fail(em, f"{src}.ctor != {op[2]!r}", fail)
-            for k, dst in enumerate(op[3]):
-                em.emit(f"{self.slot(dst)} = {src}.args[{k}]")
-        elif tag == OP_TESTCONST:
-            self._fail(
-                em, f"{self.slot(op[1])} != {self.constant(op[2])}", fail
-            )
-        else:  # OP_TESTEQ
-            cmp = "==" if op[3] else "!="
-            self._fail(
-                em, f"{self.expr(op[1])} {cmp} {self.expr(op[2])}", fail
-            )
 
     # -- instance resolution at compile time -----------------------------------------
 
@@ -201,7 +300,7 @@ class _PlanCompiler:
     def producer_fn(self, rel: str, mode) -> Any:
         from .instances import ENUM, GEN, resolve_compiled
 
-        kind = ENUM if self.kind in ("checker", "enum") else GEN
+        kind = GEN if self.kind == "gen" else ENUM
         return resolve_compiled(self.ctx, kind, rel, mode)
 
     def eval_twin(self, rel: str, mode) -> Any:
@@ -229,16 +328,25 @@ class _PlanCompiler:
 
     def compile(self):
         em = _Emitter()
+        inline = self.kind == "checker" and self.fast
         for h in self.plan.handlers:
-            if self.kind == "checker":
-                self._emit_checker_handler(em, h)
-            elif self.kind == "enum":
+            if self.kind == "enum":
                 self._emit_enum_handler(em, h)
-            else:
+            elif self.kind == "gen":
                 self._emit_gen_handler(em, h)
+            elif inline and not _has_loop_ops(h):
+                continue  # emitted inline in the fixpoint body
+            else:
+                self._emit_checker_handler(em, h)
             em.emit()
-        self._emit_dispatch(em)
-        self._emit_top(em)
+        if inline:
+            self._emit_inline_top(em)
+        else:
+            self._emit_dispatch(em)
+            if self.proto is not None:
+                self._emit_checker_top(em)
+            else:
+                self._emit_top(em)
         source = em.source()
         code = compile(source, f"<derived {self.kind} {self.plan.rel}>", "exec")
         namespace = dict(self.globals)
@@ -303,196 +411,845 @@ class _PlanCompiler:
         em.emit()
 
     def _emit_candidates(self, em: _Emitter, which: str) -> None:
-        """Emit ``_hs = <candidates>`` for the current size branch."""
+        """Emit ``_hs = <candidates>`` for the current size branch,
+        reading the scrutinee's head in its entry repr."""
         plan = self.plan
         if plan.dispatch_pos < 0:
             em.emit(f"_hs = _all_{which}")
+            return
+        p = plan.dispatch_pos
+        r = self.reprs[p]
+        scrut = f"_in{p}"
+        if r == specialize.NAT:
+            key = f"('S' if {scrut} > 0 else 'O')"
+        elif type(r) is tuple:
+            key = f"('cons' if {scrut} else 'nil')"
         else:
-            scrut = f"_in{plan.dispatch_pos}"
-            em.emit(
-                f"_hs = _disp_{which}.get({scrut}.ctor, _disp_{which}_d)"
-            )
+            key = f"{scrut}.ctor"
+        em.emit(f"_hs = _disp_{which}.get({key}, _disp_{which}_d)")
 
-    # .. checker ..................................................................
+    def _emit_size_branch(self, em: _Emitter, flag: "str | None") -> None:
+        """Pick the base (size 0) or full candidates and the callee
+        size; *flag*, when given, starts out as "out of fuel" exactly
+        when size 0 skips recursive handlers."""
+        plan = self.plan
+        for head, which, sz1, init in (
+            ("if _size == 0:", "base", "None", repr(plan.has_recursive)),
+            ("else:", "full", "_size - 1", "False"),
+        ):
+            em.emit(head)
+            em.indent += 1
+            self._emit_candidates(em, which)
+            em.emit(f"_sz1 = {sz1}")
+            if flag is not None:
+                em.emit(f"{flag} = {init}")
+            em.indent -= 1
+
+    # .. budget charge sites (omitted in fast twins) ................................
+
+    def _emit_site_charge(self, em: _Emitter, charge: str, *stmts: str) -> None:
+        """A fixpoint-level charge — ``charge_entry`` per level or
+        ``charge(cost)`` per handler attempt, before the call — the
+        compiled twin of the interpreters' site, same order.  *stmts*
+        unwind to the backend's indefinite outcome."""
+        if self.fast:
+            return
+        plan = self.plan
+        self._emit_if(
+            em,
+            f"_bud is not None and _bud.{charge}",
+            f"_bud.record_site({self.kind!r}, {plan.rel!r}, "
+            f"{plan.mode_str!r})",
+            *stmts,
+        )
+
+    def _emit_loop_charge(self, em: _Emitter, *stmts: str) -> None:
+        """One ``charge(1)`` at a producer-loop top — the compiled twin
+        of the interpreters' per-item charge, same site, same order."""
+        if not self.fast:
+            self._emit_if(em, "_bud is not None and _bud.charge(1)", *stmts)
+
+    def _emit_prologue(self, em: _Emitter, *unwind: str) -> None:
+        """An instrumented fixpoint's entry: hook locals, span begin,
+        and the per-level ``charge_entry``."""
+        plan = self.plan
+        self._emit_instr_locals(em)
+        em.emit(
+            f"if _ob is not None: _sp = _ob.spans.begin({self.kind!r}, "
+            f"{plan.rel!r}, {plan.mode_str!r}, _size, _top)"
+        )
+        self._emit_site_charge(em, "charge_entry(_top - _size)", *unwind)
+
+    # -- the repr policy ----------------------------------------------------------
+
+    def _boxer(self, r) -> str:
+        if r == specialize.NAT:
+            return "_box_nat"
+        key = ("box", r)
+        name = self._coercers.get(key)
+        if name is None:
+            name = self._coercers[key] = self._bind_global(
+                "_boxr", specialize.boxer(r)
+            )
+        return name
+
+    def _unboxer(self, r) -> str:
+        if r == specialize.NAT:
+            return "_unbox_nat"
+        key = ("unbox", r)
+        name = self._coercers.get(key)
+        if name is None:
+            name = self._coercers[key] = self._bind_global(
+                "_unboxr", specialize.unboxer(r)
+            )
+        return name
+
+    def _lit(self, x, r) -> str:
+        """A Python literal for compile-time-converted constant *x* in
+        repr *r* (boxed parts bind as interned const globals)."""
+        if r == specialize.NAT:
+            return repr(x)
+        if r == specialize.BOX:
+            return self.constant(x)
+        if x == ():
+            return "()"
+        return f"({self._lit(x[0], r[1])}, {self._lit(x[1], r)})"
+
+    def _const_in(self, value: Value, r) -> str:
+        return self._lit(specialize.value_in_repr(value, r), r)
+
+    def _ctor_owner(self, name: str) -> str | None:
+        try:
+            return self.ctx.datatypes.owner_of(name).name
+        except UnknownNameError:
+            return None
+
+    def sexpr(self, e: tuple, hint=None) -> tuple[str, Any]:
+        """Compile an expression; returns ``(code, repr)``.  Constants
+        (and nat/list constructor applications) adapt to *hint* when
+        they can; everything else reports its natural repr and the
+        caller coerces with a total boxer if needed.  Pinned-boxed
+        compilers keep every expression boxed."""
+        if self.info is None:
+            return self.expr(e), specialize.BOX
+        tag = e[0]
+        if tag == X_SLOT:
+            return self.slot(e[1]), self._srepr.get(e[1], specialize.BOX)
+        if tag == X_CONST:
+            want = hint if hint is not None else specialize.BOX
+            try:
+                return self._const_in(e[1], want), want
+            except specialize.SpecCoercionError:
+                return self.constant(e[1]), specialize.BOX
+        if tag == X_CTOR:
+            return self._ctor_expr(e, hint)
+        # X_FUN: declared impls take and return boxed values.
+        args = ", ".join(self.boxed(a) for a in e[2])
+        fn_name = self._bind_fn(f"_f_{e[3]}", e[1])
+        return f"{fn_name}({args})", specialize.BOX
+
+    def _ctor_expr(self, e: tuple, hint) -> tuple[str, Any]:
+        name = e[1]
+        owner = self._ctor_owner(name)
+        if owner == "nat" and hint in (None, specialize.NAT):
+            if name == "O":
+                return "0", specialize.NAT
+            code, r = self.sexpr(e[2][0], hint=specialize.NAT)
+            if r == specialize.NAT:
+                return f"({code} + 1)", specialize.NAT
+        elif owner == "list" and type(hint) is tuple:
+            if name == "nil":
+                return "()", hint
+            hd, rh = self.sexpr(e[2][0], hint=hint[1])
+            tl, rt = self.sexpr(e[2][1], hint=hint)
+            if rh == hint[1] and rt == hint:
+                return f"({hd}, {tl})", hint
+        args = ", ".join(self.boxed(a) for a in e[2])
+        trailing = "," if len(e[2]) == 1 else ""
+        return f"Value({name!r}, ({args}{trailing}))", specialize.BOX
+
+    def boxed(self, e: tuple) -> str:
+        """Compile an expression to its boxed form (total coercion)."""
+        code, r = self.sexpr(e, hint=specialize.BOX)
+        if r == specialize.BOX:
+            return code
+        return f"{self._boxer(r)}({code})"
+
+    def _in_reprs(self, exprs: tuple, wanted: tuple) -> "list[str] | None":
+        """Code for *exprs* already sitting in the reprs *wanted*, or
+        ``None`` when one does not (callers then take a boxed path
+        instead of coercing at run time)."""
+        parts = []
+        for e, w in zip(exprs, wanted):
+            code, r = self.sexpr(e, hint=w)
+            if r != w:
+                return None
+            parts.append(code)
+        return parts
+
+    def _reset_slots(self) -> None:
+        """Slot reprs and types at a handler's entry."""
+        self._srepr = dict(enumerate(self.reprs))
+        self._stype = (
+            dict(enumerate(self.info.entry_types))
+            if self.info is not None
+            else {}
+        )
+
+    # .. slot typing (drives eager unboxing at projections) ......................
+
+    def _expr_type(self, e: tuple) -> "TypeExpr | None":
+        tag = e[0]
+        if tag == X_SLOT:
+            return self._stype.get(e[1])
+        if tag == X_CONST:
+            return self._value_type(e[1])
+        if tag == X_CTOR:
+            owner = self._ctor_owner(e[1])
+            if owner is not None and not self.ctx.datatypes.get(owner).params:
+                return Ty(owner)
+            return None
+        decl = self.ctx.functions.get(e[3])
+        if decl is not None and is_ground(decl.result_type):
+            return decl.result_type
+        return None
+
+    def _value_type(self, v: Value) -> "TypeExpr | None":
+        owner = self._ctor_owner(v.ctor)
+        if owner is not None and not self.ctx.datatypes.get(owner).params:
+            return Ty(owner)
+        return None
+
+    def _component_types(self, src: int, ctor: str):
+        if self.info is None:
+            return None  # pinned-boxed: no eager unboxing
+        ty = self._stype.get(src)
+        if not isinstance(ty, Ty) or ty.name not in self.ctx.datatypes:
+            return None
+        dt = self.ctx.datatypes.get(ty.name)
+        if not dt.has_constructor(ctor) or len(dt.params) != len(ty.args):
+            return None
+        return dt.constructor_arg_types(ctor, ty.args)
+
+    def _produce_out_types(self, op: tuple):
+        """Output types of a producer call (for downstream projection
+        typing); ``None`` when they cannot be read off the relation."""
+        try:
+            relation = self.ctx.relations.get(op[6])
+        except UnknownNameError:
+            return None
+        outs = op[7].out_list
+        if len(outs) != len(op[4]):
+            return None
+        return tuple(relation.arg_types[j] for j in outs)
+
+    # .. tests ...................................................................
+
+    def _emit_test(self, em: _Emitter, op: tuple, fail: str) -> None:
+        """The deterministic test ops, identical in every backend."""
+        tag = op[0]
+        if tag == OP_TESTCTOR:
+            self._emit_testctor(em, op, fail)
+        elif tag == OP_TESTCONST:
+            src, r = op[1], self._srepr.get(op[1], specialize.BOX)
+            try:
+                lit = self._const_in(op[2], r)
+            except specialize.SpecCoercionError:
+                # The constant does not inhabit the slot's repr (an
+                # ill-typed rule would be rejected earlier; this guards
+                # the emission): compare boxed.
+                code = self.slot(src)
+                if r != specialize.BOX:
+                    code = f"{self._boxer(r)}({code})"
+                self._emit_if(em, f"{code} != {self.constant(op[2])}", fail)
+                return
+            self._emit_if(em, f"{self.slot(src)} != {lit}", fail)
+        else:  # OP_TESTEQ
+            cmp = "==" if op[3] else "!="
+            a, ra = self.sexpr(op[1])
+            b, rb = self.sexpr(op[2], hint=ra)
+            if rb != ra:
+                a2, ra2 = self.sexpr(op[1], hint=rb)
+                if ra2 == rb:
+                    a, ra = a2, ra2
+                else:
+                    if ra != specialize.BOX:
+                        a = f"{self._boxer(ra)}({a})"
+                    if rb != specialize.BOX:
+                        b = f"{self._boxer(rb)}({b})"
+            self._emit_if(em, f"{a} {cmp} {b}", fail)
+
+    def _emit_testctor(self, em: _Emitter, op: tuple, fail: str) -> None:
+        src, ctor, dsts = op[1], op[2], op[3]
+        r = self._srepr.get(src, specialize.BOX)
+        sname = self.slot(src)
+        # Inside an inlined dispatch branch the scrutinee's head is
+        # already established — skip the re-test, keep projections.
+        known = (
+            self._inline
+            and src == self.plan.dispatch_pos
+            and ctor == self._branch_key
+        )
+        if r == specialize.NAT:
+            if ctor == "S":
+                if not known:
+                    self._emit_if(em, f"{sname} <= 0", fail)
+                em.emit(f"{self.slot(dsts[0])} = {sname} - 1")
+                self._srepr[dsts[0]] = specialize.NAT
+                self._stype[dsts[0]] = Ty("nat")
+            elif ctor == "O":
+                if not known:
+                    self._emit_if(em, f"{sname} != 0", fail)
+            else:
+                raise _SpecUnsupported(f"constructor {ctor!r} on a nat slot")
+            return
+        if type(r) is tuple:
+            if ctor == "cons":
+                if not known:
+                    self._emit_if(em, f"not {sname}", fail)
+                hd, tl = dsts
+                em.emit(f"{self.slot(hd)} = {sname}[0]")
+                em.emit(f"{self.slot(tl)} = {sname}[1]")
+                self._srepr[hd] = r[1]
+                self._srepr[tl] = r
+                ty = self._stype.get(src)
+                if isinstance(ty, Ty) and ty.name == "list":
+                    self._stype[hd] = ty.args[0]
+                    self._stype[tl] = ty
+            elif ctor == "nil":
+                if not known:
+                    self._emit_if(em, f"{sname}", fail)
+            else:
+                raise _SpecUnsupported(f"constructor {ctor!r} on a list slot")
+            return
+        # Boxed source: the standard head test, plus eager unboxing of
+        # nat components (the handwritten checkers' ``to_int`` move —
+        # partial, but statically type-directed, and any failure on an
+        # ill-typed value unwinds to the entry's boxed fallback).
+        if not known:
+            self._emit_if(em, f"{sname}.ctor != {ctor!r}", fail)
+        comp_types = self._component_types(src, ctor)
+        for k, dst in enumerate(dsts):
+            ty = comp_types[k] if comp_types is not None else None
+            if isinstance(ty, Ty) and ty.name == "nat":
+                em.emit(f"{self.slot(dst)} = _unbox_nat({sname}.args[{k}])")
+                self._srepr[dst] = specialize.NAT
+            else:
+                em.emit(f"{self.slot(dst)} = {sname}.args[{k}]")
+                self._srepr[dst] = specialize.BOX
+            self._stype[dst] = ty
+
+    # .. calls ...................................................................
+
+    def _rec_call(self, exprs: tuple) -> str:
+        parts = self._in_reprs(exprs, self.reprs)
+        if parts is not None:
+            return f"{self.rec_name}({self.pfx}_size1, _top, {', '.join(parts)})"
+        if self.pfx:
+            raise _SpecUnsupported("spliced self-call off its entry reprs")
+        # Repr mismatch: hand the call to the boxed twin (same charge
+        # sites, same verdicts) instead of unboxing at runtime.
+        boxed = ", ".join(self.boxed(e) for e in exprs)
+        return f"_rbox(_size1, _top, {boxed})"
+
+    def _check_call(self, op: tuple) -> str:
+        fn = self.checker_fn(op[4])
+        if self.info is not None:
+            # Bind the callee's matching twin directly when the
+            # arguments already sit in its entry reprs.
+            attr = "__spec_fast__" if self.fast else "__spec_rec__"
+            srec = getattr(fn, attr, None)
+            wanted = getattr(fn, "__spec_reprs__", None)
+            if srec is not None and wanted is not None and len(op[2]) == len(wanted):
+                parts = self._in_reprs(op[2], wanted)
+                if parts is not None:
+                    f = self._bind_fn(f"_spchk_{op[4]}", srec)
+                    return f"{f}(_top, _top, {', '.join(parts)})"
+        f = self._bind_fn(f"_chk_{op[4]}", fn)
+        return f"{f}(_top, {self.args_tuple(op[2])})"
+
+    def _emit_tail_jump(self, em: _Emitter, exprs: tuple) -> bool:
+        """Try to emit a final-position RECCHECK as a loop iteration
+        (``_size/_in* = ...; continue``).  Only legal when every
+        argument already sits in its entry repr; returns False (and
+        emits nothing) otherwise, leaving the caller to emit a call."""
+        parts = self._in_reprs(exprs, self.reprs)
+        if parts is None:
+            return False
+        em.emit(f"{self.pfx}_size = {self.pfx}_size1")
+        if parts:
+            targets = ", ".join(self.slot(i) for i in range(self.plan.n_ins))
+            em.emit(f"{targets} = {', '.join(parts)}")
+        em.emit("continue")
+        return True
+
+    # .. the checker walker ......................................................
 
     def _emit_checker_handler(self, em: _Emitter, h: PlanHandler) -> None:
         em.emit(f"def _h_{h.index}({self._handler_params()}):")
         em.indent += 1
-        if _has_loop_ops(h):
+        if not self.fast and _has_loop_ops(h):
             # Only handlers with producer loops charge per item; the
             # budget probe is scoped to them so straightline handlers
             # stay probe-free.
-            if self.fast:
-                em.emit("_bud = None")
-            else:
-                em.emit("_bud = _ctx.caches.get('derive_budget')")
+            em.emit("_bud = _ctx.caches.get('derive_budget')")
         em.emit("_inc = False")
-        self._emit_checker_ops(em, h.ops, 0, depth=0)
-        em.emit("return NONE_OB if _inc else SOME_FALSE")
+        self._reset_slots()
+        self._emit_ops(em, h, 0, depth=0)
+        em.emit(f"return {self.proto.indef} if _inc else {self.proto.miss}")
         em.indent -= 1
 
-    def _emit_checker_ops(self, em: _Emitter, ops: tuple, i: int, depth: int) -> None:
-        fail = "return SOME_FALSE" if depth == 0 else "continue"
+    def _exit_unless(
+        self, em: _Emitter, bad: str, indef: str, fail: str, flag
+    ) -> None:
+        """Leave the op sequence when *bad* holds; *indef* tells an
+        indefinite miss from a definite one.  A handler function at
+        depth 0 returns that outcome.  Elsewhere *flag* records the
+        indefiniteness and *fail* moves on: to the next loop item, the
+        next handler, or the fixpoint's verdict."""
+        em.emit(f"if {bad}:")
+        em.indent += 1
+        if flag is None:
+            em.emit(
+                f"return {self.proto.indef} if {indef} else {self.proto.miss}"
+            )
+        else:
+            em.emit(f"if {indef}: {flag} = True")
+            em.emit(fail)
+        em.indent -= 1
+
+    def _bind_outs(self, em: _Emitter, op: tuple, src: str) -> None:
+        """Project a producer answer's outputs into their (boxed) slots."""
+        out_types = self._produce_out_types(op)
+        for k, dst in enumerate(op[4]):
+            em.emit(f"{self.slot(dst)} = {src}[{k}]")
+            self._srepr[dst] = specialize.BOX
+            self._stype[dst] = out_types[k] if out_types is not None else None
+
+    def _emit_ops(
+        self, em: _Emitter, h: PlanHandler, i: int, depth: int
+    ) -> None:
+        """The one op walker of the checker protocol family.  Inside a
+        producer loop (depth > 0) a failure moves to the next item and
+        a ``None`` taints the search (bindEC accounting, ``_inc``).  At
+        depth 0 a handler function returns its outcome, while an
+        inlined handler (loop-free, so always depth 0) records ``None``
+        in the frame's ``_none`` and leaves by the frame's fail exit."""
+        ops = h.ops
+        if depth:
+            fail, flag = "continue", "_inc"
+        elif self._inline:
+            fail, flag = self._inline_fail, f"{self.pfx}_none"
+        else:
+            fail, flag = f"return {self.proto.miss}", None
         n = len(ops)
         while i < n:
             op = ops[i]
             tag = op[0]
             if tag == OP_EVAL:
-                em.emit(f"{self.slot(op[1])} = {self.expr(op[2])}")
+                code, r = self.sexpr(op[2])
+                em.emit(f"{self.slot(op[1])} = {code}")
+                self._srepr[op[1]] = r
+                self._stype[op[1]] = self._expr_type(op[2])
             elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
                 self._emit_test(em, op, fail)
             elif tag in (OP_CHECK, OP_RECCHECK):
-                r = f"_r{i}"
+                if (
+                    tag == OP_RECCHECK
+                    and self._tail_ok
+                    and i == n - 1
+                    and self._emit_tail_jump(em, op[1])
+                ):
+                    return
+                r = f"{self.pfx}_r{i}"
                 if tag == OP_RECCHECK:
-                    args = ", ".join(self.expr(e) for e in op[1])
-                    em.emit(f"{r} = rec(_size1, _top, {args})")
-                else:
-                    fn = self._bind_fn(
-                        f"_chk_{op[4]}", self.checker_fn(op[4])
-                    )
-                    em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
+                    em.emit(f"{r} = {self._rec_call(op[1])}")
+                elif not (self.fast and self._try_inline_check(em, op, r)):
+                    em.emit(f"{r} = {self._check_call(op)}")
                     if op[3]:
                         em.emit(f"{r} = _negate({r})")
-                if depth == 0:
-                    # Straight-line `.&&`: None propagates as None.
-                    self._fail(em, f"{r} is NONE_OB", "return NONE_OB")
-                    self._fail(em, f"{r} is not SOME_TRUE", "return SOME_FALSE")
-                else:
-                    # Inside an enumeration loop: a None kills this
-                    # branch but taints the search (bindEC accounting).
-                    em.emit(f"if {r} is not SOME_TRUE:")
-                    em.indent += 1
-                    self._fail(em, f"{r} is NONE_OB", "_inc = True")
-                    em.emit(fail)
-                    em.indent -= 1
-            elif tag == OP_EVALREL:
-                # Functionalized premise (repro.analysis.determinacy):
-                # at most one answer exists, so commit to the first
-                # definite item and continue straightline.  The local
-                # incomplete flag mirrors the interpreter's — markers
-                # are moot once the answer is found, and without one
-                # they decide None vs definite-false for this op only.
-                item, got, inc = f"_it{i}", f"_g{i}", f"_ic{i}"
-                assert not op[5]  # the transform skips recursive ops
-                ev = self.eval_twin(op[6], op[7]) if self.fast else None
-                if ev is not None:
-                    # The premise carries a direct-eval twin: one call,
-                    # no producer loop.  OUT_OF_FUEL absorbs every
-                    # marker the loop form would have tallied; FAIL is
-                    # the loop's complete-and-empty exit.
-                    fn = self._bind_fn(f"_ev_{op[6]}", ev)
-                    args = ", ".join(self.expr(e) for e in op[3])
-                    em.emit(f"{got} = {self.eval_call(fn, args)}")
-                    em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
-                    em.indent += 1
-                    if depth == 0:
-                        em.emit(
-                            f"return NONE_OB if {got} is OUT_OF_FUEL"
-                            " else SOME_FALSE"
-                        )
-                    else:
-                        self._fail(
-                            em, f"{got} is OUT_OF_FUEL", "_inc = True"
-                        )
-                        em.emit(fail)
-                    em.indent -= 1
-                    for k, dst in enumerate(op[4]):
-                        em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                    i += 1
-                    continue
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
+                self._exit_unless(
+                    em, f"{r} is not SOME_TRUE", f"{r} is NONE_OB", fail, flag
                 )
-                em.emit(f"{got} = None")
-                em.emit(f"{inc} = False")
-                em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
-                em.indent += 1
-                self._emit_loop_charge(em, f"{inc} = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit(f"{inc} = True")
-                em.emit("continue")
-                em.indent -= 1
-                em.emit(f"{got} = {item}")
-                em.emit("break")
-                em.indent -= 1
-                em.emit(f"if {got} is None:")
-                em.indent += 1
-                if depth == 0:
-                    em.emit(f"return NONE_OB if {inc} else SOME_FALSE")
-                else:
-                    self._fail(em, inc, "_inc = True")
-                    em.emit(fail)
-                em.indent -= 1
-                if not self.fast:
-                    em.emit("_st = _ctx.caches.get('derive_stats')")
-                    em.emit("if _st is not None:")
-                    em.indent += 1
-                    em.emit("_st.functionalized_calls += 1")
-                    em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {got}[{k}]")
+            elif tag == OP_EVALREL or (tag == OP_PRODUCE and op[5]):
+                self._emit_commit(em, op, i, fail, flag)
             elif tag == OP_PRODUCE:
-                item = f"_it{i}"
-                assert not op[5]  # checker schedules: external only
+                item = f"{self.pfx}_it{i}"
                 fn = self._bind_fn(
                     f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
                 )
                 em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
                 em.indent += 1
                 self._emit_loop_charge(em, "_inc = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
+                self._emit_if(
+                    em,
+                    f"{item} is OUT_OF_FUEL or {item} is FAIL",
+                    "_inc = True",
+                    "continue",
+                )
+                self._bind_outs(em, op, item)
+                self._emit_ops(em, h, i + 1, depth + 1)
                 em.indent -= 1
                 return
             else:  # OP_INSTANTIATE
                 item = self.slot(op[1])
+                self._srepr[op[1]] = specialize.BOX
+                self._stype[op[1]] = op[2]
                 enum_fn = self._bind_global(
                     "_arb", _make_arbitrary_enum(self.ctx, op[2])
                 )
                 em.emit(f"for {item} in {enum_fn}(_top):")
                 em.indent += 1
-                em.emit(f"if {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
+                self._emit_if(em, f"{item} is OUT_OF_FUEL", "_inc = True", "continue")
                 # Charge after the marker test: the interpreter's
                 # instantiate loop sees raw values only (the fuel
                 # marker lives outside its stream), so charging the
                 # marker here would desynchronize the op streams.
                 self._emit_loop_charge(em, "_inc = True", "break")
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
+                self._emit_ops(em, h, i + 1, depth + 1)
                 em.indent -= 1
                 return
             i += 1
-        em.emit("return SOME_TRUE")
+        if self._inline:
+            for stmt in self._success:
+                em.emit(stmt)
+        elif self.proto.answers:
+            em.emit(f"return {self.args_tuple(h.out_exprs)}")
+        else:
+            em.emit("return SOME_TRUE")
 
-    def _emit_loop_charge(self, em: _Emitter, *stmts: str) -> None:
-        """One ``charge(1)`` at a producer-loop top — the compiled twin
-        of the interpreters' per-item charge, same site, same order."""
-        em.emit("if _bud is not None and _bud.charge(1):")
+    def _emit_commit(
+        self, em: _Emitter, op: tuple, i: int, fail: str, flag
+    ) -> None:
+        """A single-answer premise: an OP_EVALREL site (functionalized
+        by :mod:`repro.analysis.determinacy`), or an eval twin's
+        recursive produce (its own ``(rel, mode)``, functional by the
+        twin's precondition).  At most one answer exists, so the first
+        definite one commits and the handler continues straightline.
+        Markers are moot once the answer is found; without one they
+        decide indefinite vs definite miss for this op only."""
+        pfx = self.pfx
+        got = f"{pfx}_g{i}"
+        ev = None if op[5] or not self.fast else self.eval_twin(op[6], op[7])
+        if op[5] or ev is not None:
+            # One direct call, no producer loop: the fixpoint's own
+            # recursion, or the premise's eval twin.  OUT_OF_FUEL
+            # absorbs every marker the loop form would have tallied;
+            # FAIL is the loop's complete-and-empty exit.
+            if op[5]:
+                assert self.proto.answers  # checkers recurse by OP_RECCHECK
+                call = self._rec_call(op[3])
+            else:
+                fn = self._bind_fn(f"_ev_{op[6]}", ev)
+                call = self.eval_call(fn, ", ".join(self.boxed(e) for e in op[3]))
+            em.emit(f"{got} = {call}")
+            self._exit_unless(
+                em,
+                f"{got} is OUT_OF_FUEL or {got} is FAIL",
+                f"{got} is OUT_OF_FUEL",
+                fail,
+                flag,
+            )
+        else:
+            item, inc = f"{pfx}_it{i}", f"{pfx}_ic{i}"
+            fn = self._bind_fn(f"_enum_{op[6]}", self.producer_fn(op[6], op[7]))
+            em.emit(f"{got} = None")
+            em.emit(f"{inc} = False")
+            em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
+            em.indent += 1
+            self._emit_loop_charge(em, f"{inc} = True", "break")
+            self._emit_if(
+                em,
+                f"{item} is OUT_OF_FUEL or {item} is FAIL",
+                f"{inc} = True",
+                "continue",
+            )
+            em.emit(f"{got} = {item}")
+            em.emit("break")
+            em.indent -= 1
+            self._exit_unless(em, f"{got} is None", inc, fail, flag)
+            if not self.fast:
+                em.emit("_st = _ctx.caches.get('derive_stats')")
+                em.emit("if _st is not None: _st.functionalized_calls += 1")
+        self._bind_outs(em, op, got)
+
+    # .. checker-protocol fixpoints ..............................................
+
+    def _emit_checker_top(self, em: _Emitter) -> None:
+        """The looping fixpoint: try the dispatched handlers in order
+        until one answers.  Instrumented checkers and eval twins use it;
+        fast checkers inline their handlers instead."""
+        P = self.proto
+        instr = not self.fast
+        em.emit(f"def rec(_size, _top, {', '.join(self._ins_params()) or '*_'}):")
         em.indent += 1
-        for stmt in stmts:
-            em.emit(stmt)
+        if instr:
+            self._emit_prologue(
+                em,
+                "if _ob is not None: _ob.end_checker(_sp, NONE_OB)",
+                "return NONE_OB",
+            )
+        self._emit_size_branch(em, "_none")
+        em.emit("for _h in _hs:")
+        em.indent += 1
+        self._emit_site_charge(em, "charge(_h[3])", "_none = True", "break")
+        em.emit(f"_r = {self._call_handler('_h[0]')}")
+        if instr:
+            em.emit(
+                "if _tr is not None:"
+                " _tr.record4(_h[2], _r is SOME_TRUE, _r is NONE_OB)"
+            )
+        em.emit(f"if _r is {P.miss}: continue")
+        self._emit_if(em, f"_r is {P.indef}", "_none = True", "continue")
+        if instr:
+            em.emit("if _ob is not None: _ob.end_checker(_sp, _r)")
+        em.emit("return _r")
         em.indent -= 1
+        if instr:
+            em.emit(f"_r = {P.indef} if _none else {P.top_miss}")
+            em.emit("if _ob is not None: _ob.end_checker(_sp, _r)")
+            em.emit("return _r")
+        else:
+            em.emit(f"return {P.indef} if _none else {P.top_miss}")
+        em.indent -= 1
+
+    def _emit_inline_top(self, em: _Emitter) -> None:
+        # The fast twin's fixpoint: no trace/observe/budget sites, and
+        # straight-line handlers are inlined into the dispatch (the
+        # single-iteration ``while`` supplies the "next handler" jump),
+        # so a recursion level costs one Python call instead of one per
+        # handler attempt.  Handlers with producer loops keep their
+        # function form and are called like the instrumented top does.
+        # The whole body sits in a ``while True`` so that a RECCHECK in
+        # final position of a branch's final handler becomes a
+        # ``continue`` (tail recursion as iteration); ``_none`` then
+        # accumulates across iterations, which is exactly the OR the
+        # per-level return mapping computes (a level's ``None`` answer
+        # turns every enclosing level's answer into ``None``).
+        params = ", ".join(self._ins_params())
+        em.emit(f"def rec(_size, _top, {params or '*_'}):")
+        em.indent += 1
+        em.emit("_none = False")
+        self._success = ("return SOME_TRUE",)
+        self._exhausted = "return NONE_OB if _none else SOME_FALSE"
+        self._emit_inline_fixpoint(em)
+        em.indent -= 1
+
+    def _emit_inline_fixpoint(self, em: _Emitter) -> None:
+        """The size branch and inlined dispatch of a fast checker, in
+        the ``while True`` that a tail jump continues; falling out of
+        the dispatch takes the frame's exhaustion exit."""
+        pfx, plan = self.pfx, self.plan
+        em.emit("while True:")
+        em.indent += 1
+        em.emit(f"if {pfx}_size == 0:")
+        em.indent += 1
+        em.emit(f"{pfx}_size1 = None")
+        if plan.has_recursive:
+            em.emit(f"{pfx}_none = True")
+        self._emit_inline_dispatch(
+            em, plan.base, plan.base_table, plan.base_default
+        )
+        em.indent -= 1
+        em.emit("else:")
+        em.indent += 1
+        em.emit(f"{pfx}_size1 = {pfx}_size - 1")
+        self._emit_inline_dispatch(
+            em, plan.handlers, plan.full_table, plan.full_default
+        )
+        em.indent -= 1
+        em.emit(self._exhausted)
+        em.indent -= 1
+
+    def _emit_inline_dispatch(
+        self, em: _Emitter, handlers: tuple, table, default
+    ) -> None:
+        plan = self.plan
+        if plan.dispatch_pos < 0:
+            self._emit_inline_handlers(em, handlers)
+            return
+        p = plan.dispatch_pos
+        r = self.reprs[p]
+        scrut = self.slot(p)
+        if r == specialize.NAT:
+            arms = [(f"if {scrut} > 0:", "S"), ("else:", "O")]
+        elif type(r) is tuple:
+            arms = [(f"if {scrut}:", "cons"), ("else:", "nil")]
+        else:
+            em.emit(f"{self.pfx}_c = {scrut}.ctor")
+            arms = [
+                (f"{'el' if k else ''}if {self.pfx}_c == {ctor!r}:", ctor)
+                for k, ctor in enumerate(table)
+            ]
+            arms.append(("else:", None))
+        for head, key in arms:
+            em.emit(head)
+            em.indent += 1
+            # The key is established only when the arm's handlers came
+            # from the table (the default pool mixes heads).
+            self._branch_key = key if key in table else None
+            self._emit_inline_handlers(em, table.get(key, default))
+            em.indent -= 1
+        self._branch_key = None
+
+    def _emit_inline_handlers(self, em: _Emitter, handlers: tuple) -> None:
+        if not handlers:
+            em.emit("pass")
+            return
+        for h in handlers:
+            last = h is handlers[-1]
+            guarded = self._guard is not None and h is not handlers[0]
+            if guarded:
+                em.emit(self._guard)
+                em.indent += 1
+            if _has_loop_ops(h):
+                # Function form (never spliced: splice-eligible
+                # premises are loop-free).
+                ins = ", ".join(self._ins_params())
+                sep = ", " if ins else ""
+                em.emit(f"_r = _h_{h.index}(_size1, _top{sep}{ins})")
+                self._emit_if(em, "_r is SOME_TRUE", *self._success)
+                em.emit("if _r is NONE_OB: _none = True")
+            else:
+                self._reset_slots()
+                self._inline = True
+                # The last handler of a branch needs no "next handler"
+                # jump: a failure IS the branch verdict, so it emits
+                # bare (no single-iteration while) with the frame's
+                # exhaustion exit as its fail target — which also
+                # legalizes the tail-``continue``.
+                self._inline_fail = self._exhausted if last else "break"
+                self._tail_ok = last
+                if not last:
+                    em.emit("while True:")
+                    em.indent += 1
+                self._emit_ops(em, h, 0, depth=0)
+                if not last:
+                    em.indent -= 1
+                self._inline = False
+                self._tail_ok = False
+            if guarded:
+                em.indent -= 1
+
+    # .. cross-relation splicing (fast twin) .....................................
+
+    def _premise_plan(self, rel: str):
+        """Eligibility of *rel* for inline splicing: its checker must
+        be a compiled specialized artifact, the determinacy analysis
+        must prove its checker mode ``det`` (every rule loop-free, so
+        the whole fixpoint is a straightline tail loop), and every
+        lowered op must be in the subset a splice emits.  Returns
+        ``(plan, info, fast_fn)`` or ``None``; memoized per relation."""
+        cached = self._inline_cache.get(rel, False)
+        if cached is not False:
+            return cached
+        self._inline_cache[rel] = None
+        from .plan import functionalization_enabled
+
+        if rel == self.plan.rel or not functionalization_enabled(self.ctx):
+            return None
+        fn = self.checker_fn(rel)
+        pplan = getattr(fn, "__spec_plan__", None)
+        pinfo = getattr(fn, "__spec_info__", None)
+        pfast = getattr(fn, "__spec_fast__", None)
+        if pplan is None or pinfo is None or pfast is None:
+            return None
+        from ..analysis.determinacy import Verdict, relation_verdict
+        from .modes import Mode
+
+        try:
+            arity = self.ctx.relations.get(rel).arity
+            verdict = relation_verdict(self.ctx, rel, Mode.checker(arity))
+        except ReproError:
+            return None
+        if verdict is not Verdict.DET:
+            return None
+        for h in pplan.handlers:
+            for o in h.ops:
+                t = o[0]
+                if t in (OP_EVAL, OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ,
+                         OP_CHECK):
+                    continue
+                if t == OP_RECCHECK and o[2] is None:
+                    continue
+                return None  # group recursion / producer loops: call
+        out = (pplan, pinfo, pfast)
+        self._inline_cache[rel] = out
+        return out
+
+    def _try_inline_check(self, em: _Emitter, op: tuple, res: str) -> bool:
+        """Splice a ``det`` premise checker's fast fixpoint into the
+        current (fast-twin) function body, eliminating the per-call
+        frame: a premise compiler with prefixed locals emits it through
+        the same walker, leaving the three-valued verdict in *res*.
+        Legal only in the fast twin: that twin runs exactly when no
+        budget/trace/observe is installed, so the premise's (omitted)
+        charge and span sites are no-ops there by construction.
+
+        Returns False (emitting nothing) on any unsupported feature;
+        the caller then falls back to :meth:`_check_call`."""
+        if op[3] or self.pfx:  # negated, or already spliced: call form
+            return False
+        found = self._premise_plan(op[4])
+        if found is None:
+            return False
+        pplan, pinfo, pfast = found
+        if len(op[2]) != len(pinfo.entry_reprs):
+            return False
+        # Caller-side argument expressions, required to already sit in
+        # the premise's entry reprs (same precondition as the direct
+        # specialized call in _check_call).
+        seeds = self._in_reprs(op[2], pinfo.entry_reprs)
+        if seeds is None:
+            return False
+        self._inline_n += 1
+        inner = _PlanCompiler(
+            self.ctx, pplan, "checker", fast=True, info=pinfo,
+            host=self, prefix=f"_p{self._inline_n}",
+        )
+        # Non-tail self-recursion calls the premise's own fast twin.
+        inner.rec_name = self._bind_fn(f"_spchk_{pplan.rel}", pfast)
+        tmp = _Emitter()
+        tmp.indent = em.indent
+        try:
+            inner._emit_splice(tmp, seeds, res)
+        except _SpecUnsupported:
+            return False
+        em.lines.extend(tmp.lines)
+        st = self.ctx.caches.get("derive_stats")
+        if st is not None:
+            st.inlined_frames += 1
+        return True
+
+    def _emit_splice(self, em: _Emitter, seeds: list, res: str) -> None:
+        """This premise's fast fixpoint as a loop in the host's body:
+        the fast ``rec``'s frame with its exits rebound.  Success sets
+        *res* and breaks, a failed handler falls through to the next
+        one (each guarded on *res* still unset), a tail jump continues
+        the loop, and exhaustion breaks out to compute the ``None`` /
+        ``False`` verdict from the ``_none`` accumulator."""
+        pfx = self.pfx
+        if seeds:
+            targets = ", ".join(self.slot(i) for i in range(self.plan.n_ins))
+            em.emit(f"{targets} = {', '.join(seeds)}")
+        em.emit(f"{pfx}_size = _top")
+        em.emit(f"{pfx}_none = False")
+        em.emit(f"{res} = None")
+        self._success = (f"{res} = SOME_TRUE", "break")
+        self._exhausted = "break"
+        self._guard = f"if {res} is None:"
+        self._emit_inline_fixpoint(em)
+        self._emit_if(
+            em, f"{res} is None", f"{res} = NONE_OB if {pfx}_none else SOME_FALSE"
+        )
 
     # .. enumerator ..............................................................
 
     def _emit_enum_handler(self, em: _Emitter, h: PlanHandler) -> None:
         em.emit(f"def _h_{h.index}({self._handler_params()}):")
         em.indent += 1
-        if _has_loop_ops(h):
-            if self.fast:
-                em.emit("_bud = None")
-            else:
-                em.emit("_bud = _ctx.caches.get('derive_budget')")
+        if not self.fast and _has_loop_ops(h):
+            em.emit("_bud = _ctx.caches.get('derive_budget')")
         self._emit_enum_ops(em, h, h.ops, 0, depth=0)
         em.indent -= 1
 
@@ -516,7 +1273,7 @@ class _PlanCompiler:
                     em.emit(f"{r} = _negate({r})")
                 em.emit(f"if {r} is not SOME_TRUE:")
                 em.indent += 1
-                self._fail(em, f"{r} is NONE_OB", "yield OUT_OF_FUEL")
+                self._emit_if(em, f"{r} is NONE_OB", "yield OUT_OF_FUEL")
                 em.emit(fail)
                 em.indent -= 1
             elif tag == OP_RECCHECK:
@@ -535,7 +1292,7 @@ class _PlanCompiler:
                     em.emit(f"{got} = {self.eval_call(fn, args)}")
                     em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
                     em.indent += 1
-                    self._fail(
+                    self._emit_if(
                         em, f"{got} is OUT_OF_FUEL", "yield OUT_OF_FUEL"
                     )
                     em.emit(fail)
@@ -611,8 +1368,8 @@ class _PlanCompiler:
                 em.emit("yield OUT_OF_FUEL")
                 em.emit("continue")
                 em.indent -= 1
-                # After the marker test — see the checker twin above —
-                # and ``break`` for the same reason as OP_PRODUCE.
+                # After the marker test — see the checker walker — and
+                # ``break`` for the same reason as OP_PRODUCE.
                 self._emit_loop_charge(em, "yield OUT_OF_FUEL", "break")
                 self._emit_enum_ops(em, h, ops, i + 1, depth + 1)
                 em.indent -= 1
@@ -621,227 +1378,6 @@ class _PlanCompiler:
         outs = ", ".join(self.expr(e) for e in h.out_exprs)
         trailing = "," if len(h.out_exprs) == 1 else ""
         em.emit(f"yield ({outs}{trailing})")
-
-    # .. direct-eval twin (functional enum plans) ................................
-
-    def compile_eval(self):
-        """Compile the enum plan as a direct function — the *eval
-        twin* of a relation whose determinacy verdict is functional or
-        better (``repro.analysis.determinacy``): at most one answer
-        exists, so enumeration collapses to computation.
-
-        ``rec(_size, _top, *ins)`` returns the unique answer tuple,
-        ``OUT_OF_FUEL`` when the search was incomplete without finding
-        it, or ``FAIL`` when it is definitely absent.  Recursive
-        premises become direct recursive calls (same relation and mode,
-        hence themselves single-answer) and functional external
-        premises chain through their own eval twins — no generator
-        frames anywhere on the hot path.
-
-        Soundness is the OP_EVALREL commit argument one level deeper:
-        a definite answer found at any fuel is the unique semantic
-        answer, so committing to it (and reporting definite failure
-        when a later test rejects it) loses nothing, and markers seen
-        before the commit are moot.  The twin is instrumentation-free
-        by construction and must only be reached from fast twins —
-        entry wrappers select those exactly when no trace/observe/
-        budget cache is installed, so every charge site the twin omits
-        is a no-op in any state in which it runs.
-        """
-        assert self.kind == "enum" and self.fast
-        em = _Emitter()
-        for h in self.plan.handlers:
-            self._emit_eval_handler(em, h)
-            em.emit()
-        self._emit_dispatch(em)
-        self._emit_eval_top(em)
-        source = em.source()
-        code = compile(source, f"<derived eval {self.plan.rel}>", "exec")
-        namespace = dict(self.globals)
-        exec(code, namespace)
-        rec = namespace["rec"]
-        rec.__derived_source__ = source
-        return rec
-
-    def _emit_eval_handler(self, em: _Emitter, h: PlanHandler) -> None:
-        em.emit(f"def _h_{h.index}({self._handler_params()}):")
-        em.indent += 1
-        em.emit("_inc = False")
-        self._emit_eval_ops(em, h, h.ops, 0, depth=0)
-        em.emit("return OUT_OF_FUEL if _inc else None")
-        em.indent -= 1
-
-    def _emit_eval_ops(
-        self, em: _Emitter, h: PlanHandler, ops: tuple, i: int, depth: int
-    ) -> None:
-        # Handler protocol: answer tuple | OUT_OF_FUEL | None (definite
-        # miss).  At depth 0 markers return immediately; inside a
-        # residual producer loop they accumulate in ``_inc``.
-        fail = "return None" if depth == 0 else "continue"
-        n = len(ops)
-        while i < n:
-            op = ops[i]
-            tag = op[0]
-            if tag == OP_EVAL:
-                em.emit(f"{self.slot(op[1])} = {self.expr(op[2])}")
-            elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                self._emit_test(em, op, fail)
-            elif tag == OP_CHECK:
-                r = f"_r{i}"
-                fn = self._bind_fn(f"_chk_{op[4]}", self.checker_fn(op[4]))
-                em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
-                if op[3]:
-                    em.emit(f"{r} = _negate({r})")
-                em.emit(f"if {r} is not SOME_TRUE:")
-                em.indent += 1
-                if depth == 0:
-                    em.emit(
-                        f"return OUT_OF_FUEL if {r} is NONE_OB else None"
-                    )
-                else:
-                    self._fail(em, f"{r} is NONE_OB", "_inc = True")
-                    em.emit(fail)
-                em.indent -= 1
-            elif tag == OP_RECCHECK:
-                raise AssertionError(
-                    "producer schedules never contain recursive checker calls"
-                )
-            elif tag == OP_EVALREL or (tag == OP_PRODUCE and op[5]):
-                # Single-answer premise: one direct call.  A recursive
-                # produce runs this plan's own (rel, mode) — functional
-                # by the twin's precondition — so it commits too.
-                got = f"_g{i}"
-                if op[5]:
-                    ins = ", ".join(self.expr(e) for e in op[3])
-                    em.emit(f"{got} = rec(_size1, _top, {ins})")
-                else:
-                    ev = self.eval_twin(op[6], op[7])
-                    if ev is None:
-                        # No eval twin on the premise instance (e.g. an
-                        # interpreted fallback): first-definite-item
-                        # loop, as in the fast enum twin.
-                        self._emit_eval_produce_loop(em, op, i, depth, fail)
-                        i += 1
-                        continue
-                    fn = self._bind_fn(f"_ev_{op[6]}", ev)
-                    args = ", ".join(self.expr(e) for e in op[3])
-                    em.emit(f"{got} = {self.eval_call(fn, args)}")
-                em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
-                em.indent += 1
-                if depth == 0:
-                    em.emit(
-                        f"return OUT_OF_FUEL if {got} is OUT_OF_FUEL"
-                        " else None"
-                    )
-                else:
-                    self._fail(em, f"{got} is OUT_OF_FUEL", "_inc = True")
-                    em.emit(fail)
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {got}[{k}]")
-            elif tag == OP_PRODUCE:
-                # A premise the analysis could not functionalize keeps
-                # its enumeration loop.
-                item = f"_it{i}"
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
-                )
-                em.emit(
-                    f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):"
-                )
-                em.indent += 1
-                em.emit(f"if {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-                self._emit_eval_ops(em, h, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            else:  # OP_INSTANTIATE
-                item = self.slot(op[1])
-                enum_fn = self._bind_global(
-                    "_arb", _make_arbitrary_enum(self.ctx, op[2])
-                )
-                em.emit(f"for {item} in {enum_fn}(_top):")
-                em.indent += 1
-                em.emit(f"if {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                self._emit_eval_ops(em, h, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            i += 1
-        outs = ", ".join(self.expr(e) for e in h.out_exprs)
-        trailing = "," if len(h.out_exprs) == 1 else ""
-        em.emit(f"return ({outs}{trailing})")
-
-    def _emit_eval_produce_loop(
-        self, em: _Emitter, op: tuple, i: int, depth: int, fail: str
-    ) -> None:
-        """OP_EVALREL without a premise eval twin: commit to the first
-        definite item of the premise enumerator (the fast enum twin's
-        form, with returns instead of yields)."""
-        item, got, inc = f"_it{i}", f"_g{i}", f"_ic{i}"
-        fn = self._bind_fn(f"_enum_{op[6]}", self.producer_fn(op[6], op[7]))
-        em.emit(f"{got} = None")
-        em.emit(f"{inc} = False")
-        em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
-        em.indent += 1
-        em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-        em.indent += 1
-        em.emit(f"{inc} = True")
-        em.emit("continue")
-        em.indent -= 1
-        em.emit(f"{got} = {item}")
-        em.emit("break")
-        em.indent -= 1
-        em.emit(f"if {got} is None:")
-        em.indent += 1
-        if depth == 0:
-            em.emit(f"return OUT_OF_FUEL if {inc} else None")
-        else:
-            self._fail(em, inc, "_inc = True")
-            em.emit(fail)
-        em.indent -= 1
-        for k, dst in enumerate(op[4]):
-            em.emit(f"{self.slot(dst)} = {got}[{k}]")
-
-    def _emit_eval_top(self, em: _Emitter) -> None:
-        plan = self.plan
-        ins = self._ins_params()
-        params = ", ".join(ins)
-        em.emit(f"def rec(_size, _top, {params or '*_'}):")
-        em.indent += 1
-        em.emit("if _size == 0:")
-        em.indent += 1
-        self._emit_candidates(em, "base")
-        em.emit("_sz1 = None")
-        em.emit(f"_fuel = {plan.has_recursive!r}")
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        self._emit_candidates(em, "full")
-        em.emit("_sz1 = _size - 1")
-        em.emit("_fuel = False")
-        em.indent -= 1
-        em.emit("for _h in _hs:")
-        em.indent += 1
-        em.emit(f"_r = {self._call_handler('_h[0]')}")
-        em.emit("if _r is None: continue")
-        em.emit("if _r is OUT_OF_FUEL:")
-        em.indent += 1
-        em.emit("_fuel = True")
-        em.emit("continue")
-        em.indent -= 1
-        em.emit("return _r")
-        em.indent -= 1
-        em.emit("return OUT_OF_FUEL if _fuel else FAIL")
-        em.indent -= 1
 
     # .. generator ...............................................................
 
@@ -906,94 +1442,15 @@ class _PlanCompiler:
         em.emit(f"return ({outs}{trailing})")
         em.indent -= 1
 
-    # .. the fixpoint .............................................................
-
-    def _emit_entry_charge(self, em: _Emitter, *stmts: str) -> None:
-        """The per-level ``charge_entry`` check — the compiled twin of
-        the interpreters' fixpoint-entry charge.  *stmts* unwind to the
-        backend's indefinite outcome."""
-        plan = self.plan
-        em.emit("if _bud is not None and _bud.charge_entry(_top - _size):")
-        em.indent += 1
-        em.emit(
-            f"_bud.record_site({self.kind!r}, {plan.rel!r}, "
-            f"{plan.mode_str!r})"
-        )
-        for stmt in stmts:
-            em.emit(stmt)
-        em.indent -= 1
-
-    def _emit_handler_charge(self, em: _Emitter, *stmts: str) -> None:
-        """One ``charge(cost)`` per handler attempt, before the call —
-        same site and order as the interpreters."""
-        plan = self.plan
-        em.emit("if _bud is not None and _bud.charge(_h[3]):")
-        em.indent += 1
-        em.emit(
-            f"_bud.record_site({self.kind!r}, {plan.rel!r}, "
-            f"{plan.mode_str!r})"
-        )
-        for stmt in stmts:
-            em.emit(stmt)
-        em.indent -= 1
+    # .. the enumerator and generator fixpoints ..................................
 
     def _emit_top(self, em: _Emitter) -> None:
-        plan = self.plan
         ins = self._ins_params()
         params = ", ".join(ins)
-        span_begin = (
-            f"_sp = _ob.spans.begin({self.kind!r}, {plan.rel!r}, "
-            f"{plan.mode_str!r}, _size, _top)"
-        )
-        if self.kind == "checker":
+        if self.kind == "enum":
             em.emit(f"def rec(_size, _top, {params or '*_'}):")
             em.indent += 1
-            self._emit_instr_locals(em)
-            em.emit(f"if _ob is not None: {span_begin}")
-            self._emit_entry_charge(
-                em,
-                "if _ob is not None: _ob.end_checker(_sp, NONE_OB)",
-                "return NONE_OB",
-            )
-            em.emit("if _size == 0:")
-            em.indent += 1
-            self._emit_candidates(em, "base")
-            em.emit("_sz1 = None")
-            em.emit(f"_none = {plan.has_recursive!r}")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            self._emit_candidates(em, "full")
-            em.emit("_sz1 = _size - 1")
-            em.emit("_none = False")
-            em.indent -= 1
-            em.emit("for _h in _hs:")
-            em.indent += 1
-            self._emit_handler_charge(em, "_none = True", "break")
-            em.emit(f"_r = {self._call_handler('_h[0]')}")
-            em.emit("if _tr is not None:")
-            em.indent += 1
-            em.emit(
-                "_tr.record4(_h[2], _r is SOME_TRUE, _r is NONE_OB)"
-            )
-            em.indent -= 1
-            em.emit("if _r is SOME_TRUE:")
-            em.indent += 1
-            em.emit("if _ob is not None: _ob.end_checker(_sp, SOME_TRUE)")
-            em.emit("return SOME_TRUE")
-            em.indent -= 1
-            em.emit("if _r is NONE_OB: _none = True")
-            em.indent -= 1
-            em.emit("_r = NONE_OB if _none else SOME_FALSE")
-            em.emit("if _ob is not None: _ob.end_checker(_sp, _r)")
-            em.emit("return _r")
-            em.indent -= 1
-        elif self.kind == "enum":
-            em.emit(f"def rec(_size, _top, {params or '*_'}):")
-            em.indent += 1
-            self._emit_instr_locals(em)
-            em.emit(f"if _ob is not None: {span_begin}")
-            self._emit_entry_charge(
+            self._emit_prologue(
                 em,
                 "yield OUT_OF_FUEL",
                 "if _ob is not None: _ob.end_enum(_sp, 0, True)",
@@ -1001,21 +1458,12 @@ class _PlanCompiler:
             )
             em.emit("_fuel = False")
             em.emit("_nv = 0")
-            em.emit("if _size == 0:")
-            em.indent += 1
-            self._emit_candidates(em, "base")
-            em.emit("_sz1 = None")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            self._emit_candidates(em, "full")
-            em.emit("_sz1 = _size - 1")
-            em.indent -= 1
+            self._emit_size_branch(em, None)
             em.emit("if _tr is None:")
             em.indent += 1
             em.emit("for _h in _hs:")
             em.indent += 1
-            self._emit_handler_charge(em, "_fuel = True", "break")
+            self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
             em.emit(f"for _x in {self._call_handler('_h[0]')}:")
             em.indent += 1
             em.emit("if _x is OUT_OF_FUEL: _fuel = True")
@@ -1025,7 +1473,7 @@ class _PlanCompiler:
             em.indent += 1
             em.emit("for _h in _hs:")
             em.indent += 1
-            self._emit_handler_charge(em, "_fuel = True", "break")
+            self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
             em.emit("_sv = _sf = False")
             em.emit(f"for _x in {self._call_handler('_h[0]')}:")
             em.indent += 1
@@ -1038,7 +1486,7 @@ class _PlanCompiler:
             em.indent -= 2
             em.emit("_tr.record4(_h[2], _sv, _sf)")
             em.indent -= 2
-            if plan.has_recursive:
+            if self.plan.has_recursive:
                 em.emit("if _size == 0: _fuel = True")
             em.emit("if _fuel: yield OUT_OF_FUEL")
             em.emit("if _ob is not None: _ob.end_enum(_sp, _nv, _fuel)")
@@ -1049,26 +1497,13 @@ class _PlanCompiler:
             if params:
                 comma = "," if len(ins) == 1 else ""
                 em.emit(f"{params}{comma} = _ins")
-            self._emit_instr_locals(em)
-            em.emit(f"if _ob is not None: {span_begin}")
-            self._emit_entry_charge(
+            self._emit_prologue(
                 em,
                 "if _ob is not None: _ob.end_gen(_sp, OUT_OF_FUEL, 0)",
                 "return OUT_OF_FUEL",
             )
             em.emit("_na = 0")
-            em.emit("if _size == 0:")
-            em.indent += 1
-            self._emit_candidates(em, "base")
-            em.emit("_sz1 = None")
-            em.emit(f"_fuel = {plan.has_recursive!r}")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            self._emit_candidates(em, "full")
-            em.emit("_sz1 = _size - 1")
-            em.emit("_fuel = False")
-            em.indent -= 1
+            self._emit_size_branch(em, "_fuel")
             em.emit(
                 "_live = [[_h, 2, ((_size if _h[1] else 1) or 1)]"
                 " for _h in _hs]"
@@ -1084,7 +1519,7 @@ class _PlanCompiler:
             em.emit("_pick -= _e[2]")
             em.indent -= 1
             em.emit("_h = _e[0]")
-            self._emit_handler_charge(em, "_fuel = True", "break")
+            self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
             em.emit("_na += 1")
             args = f", {params}" if params else ""
             em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
@@ -1121,1020 +1556,6 @@ def _has_loop_ops(h: PlanHandler) -> bool:
     return any(
         op[0] in (OP_PRODUCE, OP_INSTANTIATE, OP_EVALREL) for op in h.ops
     )
-
-
-# ---------------------------------------------------------------------------
-# Term-representation specialization (checker kind only).
-# ---------------------------------------------------------------------------
-
-class _SpecUnsupported(Exception):
-    """Raised during specialized emission when the plan does something
-    the pass cannot represent; ``compile_checker`` falls back to the
-    boxed-only artifact."""
-
-
-class _SpecPlanCompiler(_PlanCompiler):
-    """The checker compiler with term-representation specialization.
-
-    Emits the same handler/dispatch/fixpoint structure as the base
-    compiler — op for op, with identical budget charge sites, trace
-    record sites, and observe spans — but runs known datatypes in
-    native representations (:mod:`repro.derive.specialize`): ``nat``
-    slots are Python ints, ``list`` slots are nested pairs, and ground
-    constants are interned.  Reprs are tracked per slot during
-    emission; every specialized/boxed boundary (external calls into
-    unspecialized siblings, function impls, producer loops) boxes with
-    total coercions, so the only partial coercions are the statically
-    type-directed eager unboxes at ``TESTCTOR`` projections — those
-    raise :class:`~repro.derive.specialize.SpecCoercionError`, which
-    the entry wrapper catches by re-running the boxed twin.
-    """
-
-    def __init__(
-        self, ctx: Context, plan: Plan, info, boxed_rec, fast: bool = False
-    ) -> None:
-        super().__init__(ctx, plan, "checker")
-        self.info = info
-        # fast=True emits the instrumentation-free twin: every
-        # trace/observe/budget site is omitted instead of guarded.
-        # Those sites are no-ops whenever the corresponding cache entry
-        # is absent, so the twin is observationally identical on
-        # uninstrumented contexts — and the entry wrapper only selects
-        # it in exactly that state.
-        self.fast = fast
-        self.globals["_rbox"] = boxed_rec
-        self.globals["_box_nat"] = specialize.box_nat
-        self.globals["_unbox_nat"] = specialize.unbox_nat
-        self._coercers: dict = {}
-        self._srepr: dict[int, Any] = {}
-        self._stype: dict[int, "TypeExpr | None"] = {}
-        self._inline = False
-        self._inline_fail = "break"
-        self._tail_ok = False
-        self._branch_key = None
-        # Cross-relation inlining (fast twin only): per-site prefix
-        # counter and a per-relation eligibility cache (None = not
-        # inlinable, else (plan, info, fast_fn) of the premise).
-        self._inline_n = 0
-        self._inline_cache: dict[str, Any] = {}
-
-    # .. repr helpers ............................................................
-
-    def constant(self, value: Value) -> str:
-        return super().constant(specialize.intern_value(value))
-
-    def _boxer(self, r) -> str:
-        if r == specialize.NAT:
-            return "_box_nat"
-        key = ("box", r)
-        name = self._coercers.get(key)
-        if name is None:
-            name = self._coercers[key] = self._bind_global(
-                "_boxr", specialize.boxer(r)
-            )
-        return name
-
-    def _unboxer(self, r) -> str:
-        if r == specialize.NAT:
-            return "_unbox_nat"
-        key = ("unbox", r)
-        name = self._coercers.get(key)
-        if name is None:
-            name = self._coercers[key] = self._bind_global(
-                "_unboxr", specialize.unboxer(r)
-            )
-        return name
-
-    def _lit(self, x, r) -> str:
-        """A Python literal for compile-time-converted constant *x* in
-        repr *r* (boxed parts bind as interned const globals)."""
-        if r == specialize.NAT:
-            return repr(x)
-        if r == specialize.BOX:
-            return self.constant(x)
-        if x == ():
-            return "()"
-        return f"({self._lit(x[0], r[1])}, {self._lit(x[1], r)})"
-
-    def _const_in(self, value: Value, r) -> str:
-        return self._lit(specialize.value_in_repr(value, r), r)
-
-    def _ctor_owner(self, name: str) -> str | None:
-        try:
-            return self.ctx.datatypes.owner_of(name).name
-        except UnknownNameError:
-            return None
-
-    # .. expressions .............................................................
-
-    def sexpr(self, e: tuple, hint=None) -> tuple[str, Any]:
-        """Compile an expression; returns ``(code, repr)``.  Constants
-        (and nat/list constructor applications) adapt to *hint* when
-        they can; everything else reports its natural repr and the
-        caller coerces with a total boxer if needed."""
-        tag = e[0]
-        if tag == X_SLOT:
-            return self.slot(e[1]), self._srepr.get(e[1], specialize.BOX)
-        if tag == X_CONST:
-            want = hint if hint is not None else specialize.BOX
-            try:
-                return self._const_in(e[1], want), want
-            except specialize.SpecCoercionError:
-                return self.constant(e[1]), specialize.BOX
-        if tag == X_CTOR:
-            return self._ctor_expr(e, hint)
-        # X_FUN: declared impls take and return boxed values.
-        args = ", ".join(self.boxed(a) for a in e[2])
-        fn_name = self._bind_fn(f"_f_{e[3]}", e[1])
-        return f"{fn_name}({args})", specialize.BOX
-
-    def _ctor_expr(self, e: tuple, hint) -> tuple[str, Any]:
-        name = e[1]
-        owner = self._ctor_owner(name)
-        if owner == "nat" and hint in (None, specialize.NAT):
-            if name == "O":
-                return "0", specialize.NAT
-            code, r = self.sexpr(e[2][0], hint=specialize.NAT)
-            if r == specialize.NAT:
-                return f"({code} + 1)", specialize.NAT
-        elif owner == "list" and type(hint) is tuple:
-            if name == "nil":
-                return "()", hint
-            hd, rh = self.sexpr(e[2][0], hint=hint[1])
-            tl, rt = self.sexpr(e[2][1], hint=hint)
-            if rh == hint[1] and rt == hint:
-                return f"({hd}, {tl})", hint
-        args = ", ".join(self.boxed(a) for a in e[2])
-        trailing = "," if len(e[2]) == 1 else ""
-        return f"Value({name!r}, ({args}{trailing}))", specialize.BOX
-
-    def boxed(self, e: tuple) -> str:
-        """Compile an expression to its boxed form (total coercion)."""
-        code, r = self.sexpr(e, hint=specialize.BOX)
-        if r == specialize.BOX:
-            return code
-        return f"{self._boxer(r)}({code})"
-
-    def sargs_tuple(self, exprs: tuple) -> str:
-        inner = ", ".join(self.boxed(e) for e in exprs)
-        trailing = "," if len(exprs) == 1 else ""
-        return f"({inner}{trailing})"
-
-    # .. slot typing (drives eager unboxing at projections) ......................
-
-    def _expr_type(self, e: tuple) -> "TypeExpr | None":
-        tag = e[0]
-        if tag == X_SLOT:
-            return self._stype.get(e[1])
-        if tag == X_CONST:
-            return self._value_type(e[1])
-        if tag == X_CTOR:
-            owner = self._ctor_owner(e[1])
-            if owner is not None and not self.ctx.datatypes.get(owner).params:
-                return Ty(owner)
-            return None
-        decl = self.ctx.functions.get(e[3])
-        if decl is not None and is_ground(decl.result_type):
-            return decl.result_type
-        return None
-
-    def _value_type(self, v: Value) -> "TypeExpr | None":
-        owner = self._ctor_owner(v.ctor)
-        if owner is not None and not self.ctx.datatypes.get(owner).params:
-            return Ty(owner)
-        return None
-
-    def _component_types(self, src: int, ctor: str):
-        ty = self._stype.get(src)
-        if not isinstance(ty, Ty) or ty.name not in self.ctx.datatypes:
-            return None
-        dt = self.ctx.datatypes.get(ty.name)
-        if not dt.has_constructor(ctor) or len(dt.params) != len(ty.args):
-            return None
-        return dt.constructor_arg_types(ctor, ty.args)
-
-    # .. tests ...................................................................
-
-    def _emit_test(self, em: _Emitter, op: tuple, fail: str) -> None:
-        tag = op[0]
-        if tag == OP_TESTCTOR:
-            self._emit_testctor(em, op, fail)
-        elif tag == OP_TESTCONST:
-            src, r = op[1], self._srepr.get(op[1], specialize.BOX)
-            try:
-                lit = self._const_in(op[2], r)
-            except specialize.SpecCoercionError:
-                # The constant does not inhabit the slot's repr (an
-                # ill-typed rule would be rejected earlier; this guards
-                # the emission): compare boxed.
-                code = self.slot(src)
-                if r != specialize.BOX:
-                    code = f"{self._boxer(r)}({code})"
-                self._fail(em, f"{code} != {self.constant(op[2])}", fail)
-                return
-            self._fail(em, f"{self.slot(src)} != {lit}", fail)
-        else:  # OP_TESTEQ
-            cmp = "==" if op[3] else "!="
-            a, ra = self.sexpr(op[1])
-            b, rb = self.sexpr(op[2], hint=ra)
-            if rb != ra:
-                a2, ra2 = self.sexpr(op[1], hint=rb)
-                if ra2 == rb:
-                    a, ra = a2, ra2
-                else:
-                    if ra != specialize.BOX:
-                        a = f"{self._boxer(ra)}({a})"
-                    if rb != specialize.BOX:
-                        b = f"{self._boxer(rb)}({b})"
-            self._fail(em, f"{a} {cmp} {b}", fail)
-
-    def _emit_testctor(self, em: _Emitter, op: tuple, fail: str) -> None:
-        src, ctor, dsts = op[1], op[2], op[3]
-        r = self._srepr.get(src, specialize.BOX)
-        sname = self.slot(src)
-        # Inside an inlined dispatch branch the scrutinee's head is
-        # already established — skip the re-test, keep projections.
-        known = (
-            self._inline
-            and src == self.plan.dispatch_pos
-            and ctor == self._branch_key
-        )
-        if r == specialize.NAT:
-            if ctor == "S":
-                if not known:
-                    self._fail(em, f"{sname} <= 0", fail)
-                em.emit(f"{self.slot(dsts[0])} = {sname} - 1")
-                self._srepr[dsts[0]] = specialize.NAT
-                self._stype[dsts[0]] = Ty("nat")
-            elif ctor == "O":
-                if not known:
-                    self._fail(em, f"{sname} != 0", fail)
-            else:
-                raise _SpecUnsupported(f"constructor {ctor!r} on a nat slot")
-            return
-        if type(r) is tuple:
-            if ctor == "cons":
-                if not known:
-                    self._fail(em, f"not {sname}", fail)
-                hd, tl = dsts
-                em.emit(f"{self.slot(hd)} = {sname}[0]")
-                em.emit(f"{self.slot(tl)} = {sname}[1]")
-                self._srepr[hd] = r[1]
-                self._srepr[tl] = r
-                ty = self._stype.get(src)
-                if isinstance(ty, Ty) and ty.name == "list":
-                    self._stype[hd] = ty.args[0]
-                    self._stype[tl] = ty
-            elif ctor == "nil":
-                if not known:
-                    self._fail(em, f"{sname}", fail)
-            else:
-                raise _SpecUnsupported(f"constructor {ctor!r} on a list slot")
-            return
-        # Boxed source: the standard head test, plus eager unboxing of
-        # nat components (the handwritten checkers' ``to_int`` move —
-        # partial, but statically type-directed, and any failure on an
-        # ill-typed value unwinds to the entry's boxed fallback).
-        if not known:
-            self._fail(em, f"{sname}.ctor != {ctor!r}", fail)
-        comp_types = self._component_types(src, ctor)
-        for k, dst in enumerate(dsts):
-            ty = comp_types[k] if comp_types is not None else None
-            if isinstance(ty, Ty) and ty.name == "nat":
-                em.emit(f"{self.slot(dst)} = _unbox_nat({sname}.args[{k}])")
-                self._srepr[dst] = specialize.NAT
-            else:
-                em.emit(f"{self.slot(dst)} = {sname}.args[{k}]")
-                self._srepr[dst] = specialize.BOX
-            self._stype[dst] = ty
-
-    # .. calls ...................................................................
-
-    def _emit_tail_jump(self, em: _Emitter, exprs: tuple) -> bool:
-        """Try to emit a final-position RECCHECK as a loop iteration
-        (``_size/_in* = ...; continue``).  Only legal when every
-        argument already sits in its entry repr; returns False (and
-        emits nothing) otherwise, leaving the caller to emit a call."""
-        parts = []
-        for e, w in zip(exprs, self.info.entry_reprs):
-            code, r = self.sexpr(e, hint=w)
-            if r != w:
-                return False
-            parts.append(code)
-        em.emit("_size = _size1")
-        if parts:
-            targets = ", ".join(self._ins_params())
-            em.emit(f"{targets} = {', '.join(parts)}")
-        em.emit("continue")
-        return True
-
-    def _rec_call(self, exprs: tuple) -> str:
-        wanted = self.info.entry_reprs
-        parts = []
-        for e, w in zip(exprs, wanted):
-            code, r = self.sexpr(e, hint=w)
-            if r != w:
-                parts = None
-                break
-            parts.append(code)
-        if parts is not None:
-            return f"rec(_size1, _top, {', '.join(parts)})"
-        # Repr mismatch: hand the call to the boxed twin (same charge
-        # sites, same verdicts) instead of unboxing at runtime.
-        boxed = ", ".join(self.boxed(e) for e in exprs)
-        return f"_rbox(_size1, _top, {boxed})"
-
-    def _check_call(self, op: tuple) -> str:
-        fn = self.checker_fn(op[4])
-        attr = "__spec_fast__" if self.fast else "__spec_rec__"
-        srec = getattr(fn, attr, None)
-        wanted = getattr(fn, "__spec_reprs__", None)
-        if srec is not None and wanted is not None and len(op[2]) == len(wanted):
-            parts = []
-            for e, w in zip(op[2], wanted):
-                code, r = self.sexpr(e, hint=w)
-                if r != w:
-                    parts = None
-                    break
-                parts.append(code)
-            if parts is not None:
-                f = self._bind_fn(f"_spchk_{op[4]}", srec)
-                return f"{f}(_top, _top, {', '.join(parts)})"
-        f = self._bind_fn(f"_chk_{op[4]}", fn)
-        return f"{f}(_top, {self.sargs_tuple(op[2])})"
-
-    # .. the checker body ........................................................
-
-    def _emit_checker_handler(self, em: _Emitter, h: PlanHandler) -> None:
-        mode_ins = self.plan.mode.ins
-        self._srepr = dict(enumerate(self.info.entry_reprs))
-        self._stype = dict(enumerate(self.info.entry_types))
-        assert len(mode_ins) == len(self.info.entry_reprs)
-        if not self.fast:
-            super()._emit_checker_handler(em, h)
-            return
-        em.emit(f"def _h_{h.index}({self._handler_params()}):")
-        em.indent += 1
-        em.emit("_inc = False")
-        self._emit_checker_ops(em, h.ops, 0, depth=0)
-        em.emit("return NONE_OB if _inc else SOME_FALSE")
-        em.indent -= 1
-
-    def _emit_entry_charge(self, em: _Emitter, *stmts: str) -> None:
-        if not self.fast:
-            super()._emit_entry_charge(em, *stmts)
-
-    def _emit_handler_charge(self, em: _Emitter, *stmts: str) -> None:
-        if not self.fast:
-            super()._emit_handler_charge(em, *stmts)
-
-    def _emit_loop_charge(self, em: _Emitter, *stmts: str) -> None:
-        if not self.fast:
-            super()._emit_loop_charge(em, *stmts)
-
-    def _emit_top(self, em: _Emitter) -> None:
-        if not self.fast:
-            super()._emit_top(em)
-            return
-        # The fast twin's fixpoint: no trace/observe/budget sites, and
-        # straight-line handlers are inlined into the dispatch (the
-        # single-iteration ``while`` supplies the "next handler" jump),
-        # so a recursion level costs one Python call instead of one per
-        # handler attempt.  Handlers with producer loops keep their
-        # function form and are called like the instrumented top does.
-        # The whole body sits in a ``while True`` so that a RECCHECK in
-        # final position of a branch's final handler becomes a
-        # ``continue`` (tail recursion as iteration); ``_none`` then
-        # accumulates across iterations, which is exactly the OR the
-        # per-level return mapping computes (a level's ``None`` answer
-        # turns every enclosing level's answer into ``None``).
-        plan = self.plan
-        params = ", ".join(self._ins_params())
-        em.emit(f"def rec(_size, _top, {params or '*_'}):")
-        em.indent += 1
-        em.emit("_none = False")
-        em.emit("while True:")
-        em.indent += 1
-        em.emit("if _size == 0:")
-        em.indent += 1
-        em.emit("_size1 = None")
-        if plan.has_recursive:
-            em.emit("_none = True")
-        self._emit_inline_dispatch(
-            em, plan.base, plan.base_table, plan.base_default
-        )
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit("_size1 = _size - 1")
-        self._emit_inline_dispatch(
-            em, plan.handlers, plan.full_table, plan.full_default
-        )
-        em.indent -= 1
-        em.emit("return NONE_OB if _none else SOME_FALSE")
-        em.indent -= 2
-
-    def _emit_inline_dispatch(
-        self, em: _Emitter, handlers: tuple, table, default
-    ) -> None:
-        plan = self.plan
-        if plan.dispatch_pos < 0:
-            self._emit_inline_handlers(em, handlers)
-            return
-        p = plan.dispatch_pos
-        r = self.info.entry_reprs[p]
-        scrut = f"_in{p}"
-
-        def branch_handlers(key: str) -> None:
-            # The key is established only when the branch's handlers
-            # came from the table (the default pool mixes heads).
-            self._branch_key = key if key in table else None
-            try:
-                self._emit_inline_handlers(em, table.get(key, default))
-            finally:
-                self._branch_key = None
-
-        if r == specialize.NAT:
-            em.emit(f"if {scrut} > 0:")
-            em.indent += 1
-            branch_handlers("S")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch_handlers("O")
-            em.indent -= 1
-        elif type(r) is tuple:
-            em.emit(f"if {scrut}:")
-            em.indent += 1
-            branch_handlers("cons")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch_handlers("nil")
-            em.indent -= 1
-        else:
-            em.emit(f"_c = {scrut}.ctor")
-            branch = "if"
-            for ctor in table:
-                em.emit(f"{branch} _c == {ctor!r}:")
-                em.indent += 1
-                branch_handlers(ctor)
-                em.indent -= 1
-                branch = "elif"
-            em.emit("else:")
-            em.indent += 1
-            self._emit_inline_handlers(em, default)
-            em.indent -= 1
-
-    def _emit_inline_handlers(self, em: _Emitter, handlers: tuple) -> None:
-        if not handlers:
-            em.emit("pass")
-            return
-        ins = ", ".join(self._ins_params())
-        sep = ", " if ins else ""
-        exhausted = "return NONE_OB if _none else SOME_FALSE"
-        for h in handlers:
-            last = h is handlers[-1]
-            if _has_loop_ops(h):
-                em.emit(f"_r = _h_{h.index}(_size1, _top{sep}{ins})")
-                em.emit("if _r is SOME_TRUE:")
-                em.indent += 1
-                em.emit("return SOME_TRUE")
-                em.indent -= 1
-                em.emit("if _r is NONE_OB: _none = True")
-                continue
-            self._srepr = dict(enumerate(self.info.entry_reprs))
-            self._stype = dict(enumerate(self.info.entry_types))
-            self._inline = True
-            # The last handler of a branch needs no "next handler"
-            # jump: a failure IS the branch verdict, so it emits bare
-            # (no single-iteration while) with the final return as its
-            # fail target — which also legalizes the tail-``continue``.
-            self._inline_fail = exhausted if last else "break"
-            self._tail_ok = last
-            if not last:
-                em.emit("while True:")
-                em.indent += 1
-            try:
-                self._emit_checker_ops(em, h.ops, 0, depth=0)
-            finally:
-                self._inline = False
-                self._inline_fail = "break"
-                self._tail_ok = False
-            if not last:
-                em.indent -= 1
-
-    def _emit_checker_ops(self, em: _Emitter, ops: tuple, i: int, depth: int) -> None:
-        inline = self._inline and depth == 0
-        fail = (
-            self._inline_fail
-            if inline
-            else ("return SOME_FALSE" if depth == 0 else "continue")
-        )
-        n = len(ops)
-        while i < n:
-            op = ops[i]
-            tag = op[0]
-            if tag == OP_EVAL:
-                code, r = self.sexpr(op[2])
-                em.emit(f"{self.slot(op[1])} = {code}")
-                self._srepr[op[1]] = r
-                self._stype[op[1]] = self._expr_type(op[2])
-            elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                self._emit_test(em, op, fail)
-            elif tag in (OP_CHECK, OP_RECCHECK):
-                if (
-                    tag == OP_RECCHECK
-                    and inline
-                    and self._tail_ok
-                    and i == n - 1
-                    and self._emit_tail_jump(em, op[1])
-                ):
-                    return
-                r = f"_r{i}"
-                if tag == OP_RECCHECK:
-                    em.emit(f"{r} = {self._rec_call(op[1])}")
-                elif self.fast and self._try_inline_check(em, op, r):
-                    pass  # premise spliced inline; r holds its verdict
-                else:
-                    em.emit(f"{r} = {self._check_call(op)}")
-                    if op[3]:
-                        em.emit(f"{r} = _negate({r})")
-                if inline:
-                    em.emit(f"if {r} is not SOME_TRUE:")
-                    em.indent += 1
-                    em.emit(f"if {r} is NONE_OB: _none = True")
-                    em.emit(fail)
-                    em.indent -= 1
-                elif depth == 0:
-                    self._fail(em, f"{r} is NONE_OB", "return NONE_OB")
-                    self._fail(em, f"{r} is not SOME_TRUE", "return SOME_FALSE")
-                else:
-                    em.emit(f"if {r} is not SOME_TRUE:")
-                    em.indent += 1
-                    self._fail(em, f"{r} is NONE_OB", "_inc = True")
-                    em.emit(fail)
-                    em.indent -= 1
-            elif tag == OP_EVALREL:
-                # Functionalized premise — see the boxed twin: first
-                # definite item commits, straightline continuation.
-                item, got, inc = f"_it{i}", f"_g{i}", f"_ic{i}"
-                assert not op[5]  # the transform skips recursive ops
-                ev = self.eval_twin(op[6], op[7]) if self.fast else None
-                if ev is not None:
-                    # Direct-eval call — see the boxed twin.  Outputs
-                    # arrive boxed, as from the enumerator.
-                    fn = self._bind_fn(f"_ev_{op[6]}", ev)
-                    args = ", ".join(self.boxed(e) for e in op[3])
-                    em.emit(f"{got} = {self.eval_call(fn, args)}")
-                    em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
-                    em.indent += 1
-                    if inline:
-                        self._fail(
-                            em, f"{got} is OUT_OF_FUEL", "_none = True"
-                        )
-                        em.emit(fail)
-                    elif depth == 0:
-                        em.emit(
-                            f"return NONE_OB if {got} is OUT_OF_FUEL"
-                            " else SOME_FALSE"
-                        )
-                    else:
-                        self._fail(
-                            em, f"{got} is OUT_OF_FUEL", "_inc = True"
-                        )
-                        em.emit(fail)
-                    em.indent -= 1
-                    out_types = self._produce_out_types(op)
-                    for k, dst in enumerate(op[4]):
-                        em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                        self._srepr[dst] = specialize.BOX
-                        self._stype[dst] = (
-                            out_types[k] if out_types is not None else None
-                        )
-                    i += 1
-                    continue
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
-                )
-                em.emit(f"{got} = None")
-                em.emit(f"{inc} = False")
-                em.emit(f"for {item} in {fn}(_top, {self.sargs_tuple(op[3])}):")
-                em.indent += 1
-                self._emit_loop_charge(em, f"{inc} = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit(f"{inc} = True")
-                em.emit("continue")
-                em.indent -= 1
-                em.emit(f"{got} = {item}")
-                em.emit("break")
-                em.indent -= 1
-                em.emit(f"if {got} is None:")
-                em.indent += 1
-                if depth == 0:
-                    em.emit(f"return NONE_OB if {inc} else SOME_FALSE")
-                else:
-                    self._fail(em, inc, "_inc = True")
-                    em.emit(fail)
-                em.indent -= 1
-                if not self.fast:
-                    em.emit("_st = _ctx.caches.get('derive_stats')")
-                    em.emit("if _st is not None:")
-                    em.indent += 1
-                    em.emit("_st.functionalized_calls += 1")
-                    em.indent -= 1
-                out_types = self._produce_out_types(op)
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                    self._srepr[dst] = specialize.BOX
-                    self._stype[dst] = (
-                        out_types[k] if out_types is not None else None
-                    )
-            elif tag == OP_PRODUCE:
-                item = f"_it{i}"
-                assert not op[5]  # checker schedules: external only
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
-                )
-                em.emit(f"for {item} in {fn}(_top, {self.sargs_tuple(op[3])}):")
-                em.indent += 1
-                self._emit_loop_charge(em, "_inc = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                out_types = self._produce_out_types(op)
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-                    self._srepr[dst] = specialize.BOX
-                    self._stype[dst] = (
-                        out_types[k] if out_types is not None else None
-                    )
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            else:  # OP_INSTANTIATE
-                item = self.slot(op[1])
-                self._srepr[op[1]] = specialize.BOX
-                self._stype[op[1]] = op[2]
-                enum_fn = self._bind_global(
-                    "_arb", _make_arbitrary_enum(self.ctx, op[2])
-                )
-                em.emit(f"for {item} in {enum_fn}(_top):")
-                em.indent += 1
-                em.emit(f"if {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                # Charge after the marker test — see the boxed twin.
-                self._emit_loop_charge(em, "_inc = True", "break")
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            i += 1
-        em.emit("return SOME_TRUE")
-
-    def _produce_out_types(self, op: tuple):
-        """Output types of a producer call (for downstream projection
-        typing); ``None`` when they cannot be read off the relation."""
-        try:
-            relation = self.ctx.relations.get(op[6])
-        except UnknownNameError:
-            return None
-        outs = op[7].out_list
-        if len(outs) != len(op[4]):
-            return None
-        return tuple(relation.arg_types[j] for j in outs)
-
-    # .. dispatch on native scrutinees ...........................................
-
-    def _emit_candidates(self, em: _Emitter, which: str) -> None:
-        plan = self.plan
-        if plan.dispatch_pos < 0:
-            em.emit(f"_hs = _all_{which}")
-            return
-        p = plan.dispatch_pos
-        r = self.info.entry_reprs[p]
-        scrut = f"_in{p}"
-        if r == specialize.NAT:
-            key = f"('S' if {scrut} > 0 else 'O')"
-        elif type(r) is tuple:
-            key = f"('cons' if {scrut} else 'nil')"
-        else:
-            key = f"{scrut}.ctor"
-        em.emit(f"_hs = _disp_{which}.get({key}, _disp_{which}_d)")
-
-    # .. cross-relation inlining (fast twin) .....................................
-
-    def _premise_plan(self, rel: str):
-        """Eligibility of *rel* for inline splicing: its checker must
-        be a compiled specialized artifact, the determinacy analysis
-        must prove its checker mode ``det`` (every rule loop-free, so
-        the whole fixpoint is a straightline tail loop), and every
-        lowered op must be in the subset the splicer emits.  Returns
-        ``(plan, info, fast_fn)`` or ``None``; memoized per relation."""
-        cached = self._inline_cache.get(rel, False)
-        if cached is not False:
-            return cached
-        self._inline_cache[rel] = None
-        from .plan import functionalization_enabled
-
-        if rel == self.plan.rel or not functionalization_enabled(self.ctx):
-            return None
-        fn = self.checker_fn(rel)
-        pplan = getattr(fn, "__spec_plan__", None)
-        pinfo = getattr(fn, "__spec_info__", None)
-        pfast = getattr(fn, "__spec_fast__", None)
-        if pplan is None or pinfo is None or pfast is None:
-            return None
-        from ..analysis.determinacy import Verdict, relation_verdict
-        from ..core.errors import ReproError
-        from .modes import Mode
-
-        try:
-            arity = self.ctx.relations.get(rel).arity
-            verdict = relation_verdict(self.ctx, rel, Mode.checker(arity))
-        except ReproError:
-            return None
-        if verdict is not Verdict.DET:
-            return None
-        for h in pplan.handlers:
-            for o in h.ops:
-                t = o[0]
-                if t in (OP_EVAL, OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ,
-                         OP_CHECK):
-                    continue
-                if t == OP_RECCHECK and o[2] is None:
-                    continue
-                return None  # group recursion / producer loops: call
-        out = (pplan, pinfo, pfast)
-        self._inline_cache[rel] = out
-        return out
-
-    def _try_inline_check(self, em: _Emitter, op: tuple, res: str) -> bool:
-        """Splice a ``det`` premise checker's specialized dispatch and
-        handler bodies into the current (fast-twin) function body,
-        eliminating the per-call frame.  The splice replicates the
-        premise's own fast fixpoint — size branch, head dispatch, tail
-        recursion as iteration — with all locals carrying a per-site
-        prefix, and leaves the three-valued verdict in *res*.  Legal
-        only in the fast twin: that twin runs exactly when no
-        budget/trace/observe is installed, so the premise's (omitted)
-        charge and span sites are no-ops there by construction.
-
-        Returns False (emitting nothing) on any unsupported feature;
-        the caller then falls back to :meth:`_check_call`."""
-        if op[3]:  # negated premise: keep the call form
-            return False
-        found = self._premise_plan(op[4])
-        if found is None:
-            return False
-        pplan, pinfo, pfast = found
-        if len(op[2]) != len(pinfo.entry_reprs):
-            return False
-        # Caller-side argument expressions, required to already sit in
-        # the premise's entry reprs (same precondition as the direct
-        # specialized call in _check_call).
-        seeds = []
-        for e, w in zip(op[2], pinfo.entry_reprs):
-            code, r = self.sexpr(e, hint=w)
-            if r != w:
-                return False
-            seeds.append(code)
-        self._inline_n += 1
-        pfx = f"_p{self._inline_n}"
-        inner = _PremiseCompiler(self, pplan, pinfo, pfx, pfast)
-        tmp = _Emitter()
-        tmp.indent = em.indent
-        try:
-            self._emit_premise(tmp, inner, pfx, seeds, res)
-        except _SpecUnsupported:
-            return False
-        em.lines.extend(tmp.lines)
-        st = self.ctx.caches.get("derive_stats")
-        if st is not None:
-            st.inlined_frames += 1
-        return True
-
-    def _emit_premise(self, em, inner, pfx: str, seeds: list, res: str):
-        """The premise fixpoint as a nested loop.  Structure mirrors
-        the premise's own ``rec`` (see :meth:`_emit_top`), with returns
-        replaced by result assignment: success sets *res* and breaks, a
-        tail-recursive jump sets the ``_t`` flag and breaks (the loop
-        bottom turns it into ``continue``), and falling out exhausted
-        computes the ``None``/``False`` verdict from the ``_none``
-        accumulator."""
-        pplan = inner.plan
-        if seeds:
-            targets = ", ".join(f"{pfx}_in{i}" for i in range(pplan.n_ins))
-            em.emit(f"{targets} = {', '.join(seeds)}")
-        em.emit(f"{pfx}_z = _top")
-        em.emit(f"{pfx}_none = False")
-        em.emit(f"{res} = None")
-        em.emit("while True:")
-        em.indent += 1
-        em.emit(f"{pfx}_t = False")
-        em.emit(f"if {pfx}_z == 0:")
-        em.indent += 1
-        em.emit(f"{pfx}_z1 = None")
-        if pplan.has_recursive:
-            em.emit(f"{pfx}_none = True")
-        self._emit_premise_dispatch(
-            em, inner, pfx, res, pplan.base, pplan.base_table,
-            pplan.base_default,
-        )
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(f"{pfx}_z1 = {pfx}_z - 1")
-        self._emit_premise_dispatch(
-            em, inner, pfx, res, pplan.handlers, pplan.full_table,
-            pplan.full_default,
-        )
-        em.indent -= 1
-        em.emit(f"if {pfx}_t:")
-        em.indent += 1
-        em.emit("continue")
-        em.indent -= 1
-        em.emit("break")
-        em.indent -= 1
-        em.emit(f"if {res} is None:")
-        em.indent += 1
-        em.emit(f"{res} = NONE_OB if {pfx}_none else SOME_FALSE")
-        em.indent -= 1
-
-    def _emit_premise_dispatch(
-        self, em, inner, pfx: str, res: str, handlers, table, default
-    ) -> None:
-        pplan = inner.plan
-
-        def branch(key: str) -> None:
-            known = key if key in table else None
-            self._emit_premise_handlers(
-                em, inner, pfx, res, table.get(key, default), known
-            )
-
-        if pplan.dispatch_pos < 0:
-            self._emit_premise_handlers(em, inner, pfx, res, handlers, None)
-            return
-        p = pplan.dispatch_pos
-        r = inner.info.entry_reprs[p]
-        scrut = f"{pfx}_in{p}"
-        if r == specialize.NAT:
-            em.emit(f"if {scrut} > 0:")
-            em.indent += 1
-            branch("S")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch("O")
-            em.indent -= 1
-        elif type(r) is tuple:
-            em.emit(f"if {scrut}:")
-            em.indent += 1
-            branch("cons")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch("nil")
-            em.indent -= 1
-        else:
-            em.emit(f"{pfx}_c = {scrut}.ctor")
-            kw = "if"
-            for ctor in table:
-                em.emit(f"{kw} {pfx}_c == {ctor!r}:")
-                em.indent += 1
-                branch(ctor)
-                em.indent -= 1
-                kw = "elif"
-            em.emit("else:")
-            em.indent += 1
-            self._emit_premise_handlers(em, inner, pfx, res, default, None)
-            em.indent -= 1
-
-    def _emit_premise_handlers(
-        self, em, inner, pfx: str, res: str, handlers, key
-    ) -> None:
-        if not handlers:
-            em.emit("pass")
-            return
-        for idx, h in enumerate(handlers):
-            last = idx == len(handlers) - 1
-            if idx > 0:
-                em.emit(f"if {res} is None:")
-                em.indent += 1
-            inner._srepr = dict(enumerate(inner.info.entry_reprs))
-            inner._stype = dict(enumerate(inner.info.entry_types))
-            inner._inline = True
-            inner._branch_key = key
-            em.emit("while True:")
-            em.indent += 1
-            try:
-                self._emit_premise_ops(em, inner, pfx, res, h.ops, last)
-            finally:
-                inner._inline = False
-                inner._branch_key = None
-            em.indent -= 1
-            if idx > 0:
-                em.indent -= 1
-
-    def _emit_premise_ops(
-        self, em, inner, pfx: str, res: str, ops: tuple, last: bool
-    ) -> None:
-        """One premise handler body inside its single-iteration
-        ``while`` wrapper: every exit is a ``break`` (failure falls to
-        the next handler via the *res*-is-None guard; success assigns
-        first)."""
-        fail = "break"
-        n = len(ops)
-        for i, o in enumerate(ops):
-            t = o[0]
-            if t == OP_EVAL:
-                code, r = inner.sexpr(o[2])
-                em.emit(f"{inner.slot(o[1])} = {code}")
-                inner._srepr[o[1]] = r
-                inner._stype[o[1]] = inner._expr_type(o[2])
-            elif t in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                inner._emit_test(em, o, fail)
-            elif t == OP_RECCHECK:
-                if (
-                    last
-                    and i == n - 1
-                    and self._emit_premise_tail(em, inner, pfx, o[1])
-                ):
-                    return
-                # Non-tail self-recursion: call the premise's own fast
-                # twin at the decremented size (what its rec would do).
-                parts = []
-                for e, w in zip(o[1], inner.info.entry_reprs):
-                    code, r = inner.sexpr(e, hint=w)
-                    if r != w:
-                        raise _SpecUnsupported("inline rec repr mismatch")
-                    parts.append(code)
-                f = self._bind_fn(f"_spchk_{inner.plan.rel}", inner.fast_fn)
-                rv = f"{pfx}_r{i}"
-                em.emit(f"{rv} = {f}({pfx}_z1, _top, {', '.join(parts)})")
-                em.emit(f"if {rv} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"if {rv} is NONE_OB: {pfx}_none = True")
-                em.emit(fail)
-                em.indent -= 1
-            else:  # OP_CHECK: the premise's own external premise
-                rv = f"{pfx}_r{i}"
-                em.emit(f"{rv} = {inner._check_call(o)}")
-                if o[3]:
-                    em.emit(f"{rv} = _negate({rv})")
-                em.emit(f"if {rv} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"if {rv} is NONE_OB: {pfx}_none = True")
-                em.emit(fail)
-                em.indent -= 1
-        em.emit(f"{res} = SOME_TRUE")
-        em.emit("break")
-
-    def _emit_premise_tail(self, em, inner, pfx: str, exprs: tuple) -> bool:
-        """A final-position self-recursive premise call as an iteration
-        of the spliced loop; legal only when every argument already
-        sits in its entry repr (else the caller emits a call)."""
-        parts = []
-        for e, w in zip(exprs, inner.info.entry_reprs):
-            code, r = inner.sexpr(e, hint=w)
-            if r != w:
-                return False
-            parts.append(code)
-        em.emit(f"{pfx}_z = {pfx}_z1")
-        if parts:
-            targets = ", ".join(
-                f"{pfx}_in{i}" for i in range(inner.plan.n_ins)
-            )
-            em.emit(f"{targets} = {', '.join(parts)}")
-        em.emit(f"{pfx}_t = True")
-        em.emit("break")
-        return True
-
-
-class _PremiseCompiler(_SpecPlanCompiler):
-    """Expression/test emitter for a premise plan spliced into a host
-    compiler's function body: slot names carry a per-site prefix, and
-    all name binding is delegated to the host so the spliced lines
-    resolve in the host's exec namespace."""
-
-    def __init__(self, host, plan, info, prefix: str, fast_fn) -> None:
-        super().__init__(host.ctx, plan, info, None, fast=True)
-        self.prefix = prefix
-        self.fast_fn = fast_fn
-        self.globals = host.globals
-        self._bind_global = host._bind_global  # shares name uniquing
-        self._fn_cache = host._fn_cache
-        self._const_cache = host._const_cache
-        self._coercers = host._coercers
-
-    def slot(self, i: int) -> str:
-        base = f"_in{i}" if i < self.plan.n_ins else f"_s{i}"
-        return self.prefix + base
 
 
 def _make_arbitrary_enum(ctx: Context, ty: TypeExpr):
@@ -2187,9 +1608,11 @@ def compile_checker(ctx: Context, schedule: Schedule):
     spec = fast = None
     if info is not None:
         try:
-            spec = _SpecPlanCompiler(ctx, plan, info, rec).compile()
-            fast = _SpecPlanCompiler(
-                ctx, plan, info, rec, fast=True
+            spec = _PlanCompiler(
+                ctx, plan, "checker", info=info, rbox=rec
+            ).compile()
+            fast = _PlanCompiler(
+                ctx, plan, "checker", fast=True, info=info, rbox=rec
             ).compile()
         except _SpecUnsupported:
             spec = fast = None
@@ -2201,8 +1624,8 @@ def compile_checker(ctx: Context, schedule: Schedule):
         binfo = specialize.boxed_info(ctx, plan)
         if binfo is not None:
             try:
-                fastb = _SpecPlanCompiler(
-                    ctx, plan, binfo, rec, fast=True
+                fastb = _PlanCompiler(
+                    ctx, plan, "checker", fast=True, info=binfo, rbox=rec
                 ).compile()
             except _SpecUnsupported:
                 fastb = None
@@ -2319,9 +1742,27 @@ def compile_enumerator(ctx: Context, schedule: Schedule):
 
 def _attach_eval_twin(ctx: Context, plan, enum_st) -> None:
     """Compile and attach the direct-eval twin (``__spec_eval__``) for
-    an enum plan whose determinacy verdict is functional or better.
-    Fast twins consume it at OP_EVALREL sites; nothing else does, so a
-    plan that cannot take one simply keeps the loop form."""
+    an enum plan whose determinacy verdict is functional or better
+    (``repro.analysis.determinacy``): at most one answer exists, so
+    enumeration collapses to computation.  Fast twins consume it at
+    OP_EVALREL sites; nothing else does, so a plan that cannot take one
+    simply keeps the loop form.
+
+    The twin is the checker walker under the eval protocol:
+    ``rec(_size, _top, *ins)`` returns the unique answer tuple,
+    ``OUT_OF_FUEL`` when the search was incomplete without finding it,
+    or ``FAIL`` when it is definitely absent.  Recursive premises
+    become direct recursive calls and functional external premises
+    chain through their own eval twins — no generator frames on the
+    hot path.  Soundness is the OP_EVALREL commit argument one level
+    deeper: a definite answer found at any fuel is the unique semantic
+    answer, so committing to it (and reporting definite failure when a
+    later test rejects it) loses nothing, and markers seen before the
+    commit are moot.  The twin is instrumentation-free and only reached
+    from fast twins, which entry wrappers select exactly when no
+    trace/observe/budget cache is installed, so every charge site it
+    omits is a no-op in any state in which it runs.
+    """
     from .plan import functionalization_enabled
 
     if not functionalization_enabled(ctx):
@@ -2333,7 +1774,7 @@ def _attach_eval_twin(ctx: Context, plan, enum_st) -> None:
     try:
         if not relation_verdict(ctx, plan.rel, plan.mode_str).at_most_one:
             return
-        ev_rec = _PlanCompiler(ctx, plan, "enum", fast=True).compile_eval()
+        ev_rec = _PlanCompiler(ctx, plan, "eval", fast=True).compile()
     except ReproError:
         return
 

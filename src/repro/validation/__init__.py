@@ -1,11 +1,17 @@
 """Translation validation: certify derived computations (Section 5).
 
-Certificates are checked against the :class:`~repro.derive.schedule.
-Schedule` — the paper-shaped program — not the lowered Plan IR.  That
-is deliberate: the schedule sits *upstream* of the single shared
-lowering (``lower_schedule``), so one certificate covers every backend
-that executes or compiles the plan; there is no separate lowered
-artifact to re-validate per backend.
+Structural obligations are checked against the :class:`~repro.derive.
+schedule.Schedule` (the paper-shaped program), and the behavioural
+obligations run the instance a certificate is given.  By default that
+is the interpreter instance, so a certificate certifies the plan
+interpreter.  Compiled checkers are not one artifact: per call they
+pick among the boxed fixpoint, the specialized twin and the fast twin
+with spliced ``det`` premises and eval-twin calls.  The only compiled
+checkers certified are those passed explicitly as ``instance=`` (the
+specialized nat and ``Sorted`` checkers in
+``tests/derive/test_specialize.py``).  The other compiled variants are
+covered by differential tests against the interpreter, not by
+certificates.
 """
 
 from .checkers import census, certify_checker

@@ -33,6 +33,7 @@ from repro.derive.instances import (
 from repro.derive.specialize import disable_specialization
 from repro.producers.combinators import _enum_values
 from repro.producers.option_bool import NONE_OB
+from repro.producers.outcome import FAIL, OUT_OF_FUEL
 from repro.resilience import FaultPlan, budget_scope
 from repro.sf.registry import CHAPTER_MODULES, load_chapter
 
@@ -421,6 +422,194 @@ class TestFunctionalizeOnOff:
         disable_functionalization(ctx_off)
         for rel in rels:
             assert _func_on_off_diff(ctx_on, ctx_off, rel, fuels=(0, 2))
+
+
+def _fast_vs_instrumented(ctx, rel, fuels, max_ops=60_000, seconds=2.0):
+    """Diff a compiled checker's fast twin against its instrumented
+    twin.  Every call in the sweeps above runs under ``budget_scope``,
+    which selects the instrumented twin, so they never reach the fast
+    twins, their spliced premises or the eval twins they call.  Here
+    each call runs under a budget first; when it finishes without a
+    trip, it runs again bare (the fast twin) and must give the same
+    singleton.  Returns the number of compared pairs."""
+    relation = ctx.relations.get(rel)
+    compiled = resolve_compiled(
+        ctx, CHECKER, rel, Mode.checker(relation.arity)
+    )
+    cases = seeded_inputs(ctx, relation.arg_types)
+    assert cases, f"no seeded inputs for {rel}"
+    compared = 0
+    for args in cases:
+        for fuel in fuels:
+            with budget_scope(
+                ctx, max_ops=max_ops, deadline_seconds=seconds
+            ) as b:
+                slow = compiled(fuel, args)
+            if b.exhausted is not None:
+                continue
+            fast = compiled(fuel, args)
+            assert fast is slow, (
+                f"fast/instrumented mismatch: {rel} fuel={fuel} "
+                f"args={args} fast={fast} instrumented={slow}"
+            )
+            compared += 1
+    return compared
+
+
+def _producer_fast_vs_instrumented(ctx, kind, rel, mode_str, fuels=(0, 2, 3)):
+    """The same diff for a compiled producer: its answers under a
+    budget (instrumented twin) against its answers bare (fast twin,
+    which calls eval twins at functionalized premises).  Generators
+    draw from one seed per pair: budget charges consume no
+    randomness."""
+    relation = ctx.relations.get(rel)
+    mode = Mode.from_string(mode_str)
+    compiled = resolve_compiled(ctx, kind, rel, mode)
+    assert getattr(compiled, "__fast_rec__", None) is not None
+    in_types = [relation.arg_types[i] for i in mode.ins]
+
+    def answer(fuel, ins):
+        if kind == ENUM:
+            return list(compiled(fuel, ins))
+        return compiled(fuel, ins, random.Random(fuel))
+
+    compared = 0
+    for ins in (seeded_inputs(ctx, in_types) or [()])[:12]:
+        for fuel in fuels:
+            with budget_scope(ctx, max_ops=60_000) as b:
+                slow = answer(fuel, ins)
+            if b.exhausted is not None:
+                continue
+            assert answer(fuel, ins) == slow, (
+                f"{kind} fast/instrumented mismatch: {rel}[{mode_str}] "
+                f"fuel={fuel} ins={ins}"
+            )
+            compared += 1
+    return compared
+
+
+def _eval_twin_agrees(ctx, rel, mode_str, fuels=(0, 2, 3)):
+    """An eval twin answers what its enumerator answers first.  When
+    the enumerator has a definite item, the twin answers the first one;
+    when the enumeration is complete and empty, the twin answers
+    ``FAIL``.  An incomplete empty enumeration allows either marker:
+    committing may settle what the enumeration left open.  Returns the
+    number of compared pairs (0 when the mode has no eval twin)."""
+    relation = ctx.relations.get(rel)
+    mode = Mode.from_string(mode_str)
+    compiled = resolve_compiled(ctx, ENUM, rel, mode)
+    ev = getattr(compiled, "__spec_eval__", None)
+    if ev is None:
+        return 0
+    in_types = [relation.arg_types[i] for i in mode.ins]
+    compared = 0
+    for ins in seeded_inputs(ctx, in_types) or [()]:
+        for fuel in fuels:
+            answer = ev(fuel, ins)
+            out = list(compiled(fuel, ins))
+            items = [x for x in out if x is not OUT_OF_FUEL]
+            if items:
+                expected = items[0]
+            elif len(out) == len(items):
+                expected = FAIL
+            else:
+                expected = answer if answer is FAIL else OUT_OF_FUEL
+            assert answer == expected, (
+                f"eval twin answered {answer}, enumerator {out}: "
+                f"{rel}[{mode_str}] fuel={fuel} ins={ins}"
+            )
+            compared += 1
+    return compared
+
+
+CASE_STUDY_CHECKERS = [
+    ("bst", ("bst", "lt")),
+    ("stlc", ("typing", "lookup")),
+    ("ifc", ("indist_atom", "indist_list")),
+]
+
+FIXTURE_PRODUCER_MODES = [
+    ("nat_ctx", "le", ("io", "oi", "oo")),
+    ("nat_ctx", "ev", ("o",)),
+    ("list_ctx", "Sorted", ("o",)),
+    ("list_ctx", "InNat", ("io", "oi", "oo")),
+    ("stlc_ctx", "typing", ("iio", "ioi")),
+    ("stlc_ctx", "lookup", ("iio", "ioi")),
+]
+
+
+class TestFastTwins:
+    """The fast twins agree with the instrumented twins on every corpus
+    checker and on the fixture producer modes."""
+
+    @pytest.mark.parametrize("module", CHAPTER_MODULES)
+    def test_chapter_fast_matches_instrumented(self, module):
+        ch = chapter(module)
+        covered = 0
+        for entry in ch.entries:
+            if entry.higher_order:
+                continue
+            relation = ch.ctx.relations.get(entry.name)
+            if not relation.is_monomorphic():
+                continue
+            try:
+                if _fast_vs_instrumented(ch.ctx, entry.name, fuels=(0, 2)):
+                    covered += 1
+            except ReproError:
+                continue
+        assert covered, f"no relation in {module} was diffable"
+
+    @pytest.mark.parametrize("maker, rels", CASE_STUDY_CHECKERS)
+    def test_case_study_fast_matches_instrumented(self, maker, rels):
+        import importlib
+
+        ctx = importlib.import_module(f"repro.casestudies.{maker}").make_context()
+        for rel in rels:
+            assert _fast_vs_instrumented(ctx, rel, fuels=(0, 2))
+
+    @pytest.mark.parametrize("fixture, rel, modes", FIXTURE_PRODUCER_MODES)
+    def test_fixture_producers_fast_match_instrumented(
+        self, request, fixture, rel, modes
+    ):
+        ctx = request.getfixturevalue(fixture)
+        for mode in modes:
+            assert _producer_fast_vs_instrumented(ctx, ENUM, rel, mode)
+            assert _producer_fast_vs_instrumented(ctx, GEN, rel, mode)
+            _eval_twin_agrees(ctx, rel, mode)
+
+    def test_fixtures_reach_eval_twins(self, stlc_ctx):
+        assert _eval_twin_agrees(stlc_ctx, "typing", "iio")
+        assert _eval_twin_agrees(stlc_ctx, "lookup", "iio")
+
+
+class TestSplicing:
+    """Cross-relation splicing fires where it pays, and the spliced
+    fast twins keep the functionalization pass's refinement contract
+    against a context with the pass off (where nothing is spliced)."""
+
+    @pytest.mark.parametrize("maker, rel", [("bst", "bst"), ("stlc", "typing")])
+    def test_splices_fire_and_agree(self, maker, rel):
+        import importlib
+
+        from repro.derive.stats import install_stats
+
+        mod = importlib.import_module(f"repro.casestudies.{maker}")
+        ctx_on, ctx_off = mod.make_context(), mod.make_context()
+        disable_functionalization(ctx_off)
+        stats_on, stats_off = install_stats(ctx_on), install_stats(ctx_off)
+        mode = Mode.checker(ctx_on.relations.get(rel).arity)
+        on = resolve_compiled(ctx_on, CHECKER, rel, mode)
+        off = resolve_compiled(ctx_off, CHECKER, rel, mode)
+        assert stats_on.inlined_frames > 0
+        assert stats_off.inlined_frames == 0
+        assert "_p1_" in on.__spec_fast_source__
+        for args in seeded_inputs(ctx_on, ctx_on.relations.get(rel).arg_types):
+            for fuel in (0, 2, 4):
+                a, b = on(fuel, args), off(fuel, args)
+                assert a is b or (b is NONE_OB and a is not NONE_OB), (
+                    f"spliced twin broke a verdict: {rel} fuel={fuel} "
+                    f"args={args} on={a} off={b}"
+                )
 
 
 class TestCaseStudies:
