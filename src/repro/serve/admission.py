@@ -7,6 +7,11 @@ load until callers timed out on their own.  This module is the
 serving-layer governor that PR 5's :class:`~repro.resilience.budget.
 Budget` is for a single computation:
 
+* :class:`Ticket` — one submitted query and its future in one
+  object: ``Engine.submit`` returns the ticket itself, a
+  :class:`concurrent.futures.Future` laid out in slots, because every
+  tracked container a queued query holds counts against CPython's
+  gen-0 collection threshold (see :mod:`repro.serve.engine`).
 * :class:`AdmissionQueue` — a bounded FIFO with three full-queue
   policies.  ``block`` applies backpressure to the submitter;
   ``reject`` sheds the *incoming* query; ``shed_oldest`` evicts the
@@ -44,6 +49,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import Future
+from concurrent.futures._base import PENDING
 from time import monotonic
 from typing import Any, Callable, Iterable
 
@@ -60,8 +67,58 @@ __all__ = [
 ADMISSION_POLICIES = ("block", "reject", "shed_oldest")
 
 
-class Ticket:
-    """One enqueued query: the unit the admission queue manages.
+class _Condition(threading.Condition):
+    """The condition a :class:`Ticket` waits on: ``threading.Condition``
+    over an ``RLock``, with the lock's methods delegated from the class.
+
+    The stdlib condition copies five of the lock's bound methods onto
+    every instance (``acquire``, ``release``, ``_release_save``,
+    ``_acquire_restore``, ``_is_owned``) — five GC-tracked objects per
+    future.  Here they are methods, and every attribute is a slot, so
+    the condition costs itself, its lock and its waiter deque.
+    """
+
+    __slots__ = ("_lock", "_waiters")
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._waiters = deque()
+
+    def acquire(self, *args, **kwargs):
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def _release_save(self):
+        return self._lock._release_save()
+
+    def _acquire_restore(self, state) -> None:
+        self._lock._acquire_restore(state)
+
+    def _is_owned(self) -> bool:
+        return self._lock._is_owned()
+
+    def notify_all(self) -> None:
+        # Future.set_result notifies under the lock; most tickets are
+        # resolved with nobody blocked in result().
+        if self._waiters:
+            super().notify_all()
+
+
+class Ticket(Future):
+    """One submitted query, and the future that resolves to its result.
+
+    ``Engine.submit`` returns the ticket itself: it *is* a
+    :class:`concurrent.futures.Future` (``result``, ``cancel``,
+    ``add_done_callback``, ``wait``/``as_completed``,
+    ``asyncio.wrap_future`` all work), and the worker resolves it with
+    ``set_result``.  It sets the future's fields itself rather than
+    calling ``Future.__init__``, so it waits on a :class:`_Condition`,
+    and every attribute is a slot: a pending ticket holds six GC-tracked
+    containers where a stdlib future plus a separate ticket held twelve.
+    With 64 queries outstanding that keeps the serving window under
+    CPython's gen-0 threshold (700), instead of a collection per chunk.
 
     *deadline* is absolute (``time.monotonic``); ``None`` means the
     query never expires in queue.  *fault* is the injected worker
@@ -69,11 +126,22 @@ class Ticket:
     only; see :class:`~repro.resilience.faults.WorkerFaultPlan`).
     """
 
-    __slots__ = ("query", "future", "qid", "submitted", "deadline", "fault")
+    # Future's own fields first (the layout Future.__init__ sets up),
+    # then the ticket's.
+    __slots__ = (
+        "_condition", "_state", "_result", "_exception", "_waiters",
+        "_done_callbacks",
+        "query", "qid", "submitted", "deadline", "fault",
+    )
 
-    def __init__(self, query, future, qid, submitted, deadline=None):
+    def __init__(self, query, qid, submitted, deadline=None):
+        self._condition = _Condition()
+        self._state = PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
         self.query = query
-        self.future = future
         self.qid = qid
         self.submitted = submitted
         self.deadline = deadline
@@ -89,9 +157,6 @@ class Ticket:
         if self.deadline is None:
             return None
         return self.deadline - (now if now is not None else monotonic())
-
-    def __repr__(self) -> str:
-        return f"Ticket(qid={self.qid}, {type(self.query).__name__})"
 
 
 class AdmissionQueue:
@@ -132,16 +197,13 @@ class AdmissionQueue:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closing = False
-        #: monotone shed counters by reason (read by Engine.stats)
-        self.shed_counts: dict = {}
 
     # -- internals ----------------------------------------------------------
 
     def _shed(self, victims: "list[tuple[Ticket, str]]") -> None:
         # Outside the lock: resolving a future runs caller callbacks.
-        for ticket, reason in victims:
-            self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
-            if self.on_shed is not None:
+        if self.on_shed is not None:
+            for ticket, reason in victims:
                 self.on_shed(ticket, reason)
 
     # -- write side ---------------------------------------------------------

@@ -14,9 +14,16 @@ no matter which worker's query arrives first.
 Queries resolve to structured :class:`~repro.serve.queries.
 QueryResult`\\ s — a budget- or fuel-limited query *gives up*, it does
 not error, and a query the engine refuses to run is **shed** (also not
-an error).  Submission is non-blocking (:meth:`Engine.submit` returns
-a :class:`concurrent.futures.Future`); :meth:`Engine.arun` awaits the
-same future from asyncio.
+an error).  Submission is non-blocking: :meth:`Engine.submit` returns
+the query's :class:`~repro.serve.admission.Ticket`, which *is* a
+:class:`concurrent.futures.Future`, and :meth:`Engine.arun` awaits it
+from asyncio.  There is no second future per query because what one
+outstanding query allocates sets how often the collector runs: a
+batching window of 64 queries must stay under CPython's gen-0
+threshold (700 tracked containers), or nearly every chunk pays a
+collection and the gen-2 passes that follow set the tail latency.  A
+pending ticket holds six tracked containers, a served one with its
+:class:`~repro.serve.queries.QueryResult` seven.
 
 Every query runs on *the instance callable* of its ``(kind, rel,
 mode)`` shape, resolved once per worker through
@@ -84,7 +91,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import InvalidStateError
 from time import monotonic
 from typing import Any, Iterable
 
@@ -246,6 +253,9 @@ class Engine:
             for i in range(workers)
         ]
         self._threads: "list[threading.Thread | None]" = [None] * workers
+        #: workers inside their serving loop, kept by ``_worker_main``
+        #: under ``_state_lock`` so ``submit`` reads one int, not threads
+        self._live = 0
         self._started = False
         self._closing = False
         self._closed = False
@@ -329,17 +339,19 @@ class Engine:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, query) -> "Future[QueryResult]":
-        """Enqueue *query*; the future resolves to its
-        :class:`QueryResult` (never to an exception — failures become
-        ``status="error"`` results, refusals ``status="shed"``).
-        Raises only when the engine cannot serve at all: it is closed,
-        or the whole worker pool is dead."""
+    def submit(self, query) -> Ticket:
+        """Enqueue *query* and return its :class:`~repro.serve.admission.
+        Ticket` — a :class:`concurrent.futures.Future` that resolves to
+        its :class:`QueryResult` (never to an exception — failures
+        become ``status="error"`` results, refusals ``status="shed"``).
+        Cancelling a queued query drops its answer; the worker may
+        still run it.  Raises only when the engine cannot serve at
+        all: it is closed, or the whole worker pool is dead."""
         if self._closed or self._closing:
             raise RuntimeError("engine is closed")
         if not self._started:
             self.start()
-        if self._pool_dead():
+        if not self._live and self._pool_dead():
             raise RuntimeError(
                 "engine worker pool is dead (every worker crashed and "
                 "none can be restarted)"
@@ -349,22 +361,22 @@ class Engine:
         now = monotonic()
         per_query = getattr(query, "deadline_seconds", None)
         deadline = now + per_query if per_query is not None else None
-        ticket = Ticket(query, Future(), qid, now, deadline)
+        ticket = Ticket(query, qid, now, deadline)
         ctl = self._overload
         if ctl is not None and ctl.should_shed(self._queue.qsize()):
             self._note_level(ctl.level)
             self._shed_ticket(ticket, "overload")
-            return ticket.future
+            return ticket
         brk = self._breaker
         if brk is not None and brk.check(
             (_KINDS.get(type(query).__name__, "?"), getattr(query, "rel", "?"))
         ):
             self._shed_ticket(ticket, "breaker")
-            return ticket.future
+            return ticket
         self._queue.put(ticket)
         if tel is not None:
             tel.observe_queue_depth(self._queue.qsize())
-        return ticket.future
+        return ticket
 
     def run(self, query) -> QueryResult:
         """Submit and wait."""
@@ -465,6 +477,9 @@ class Engine:
             c["serve.worker_restarts"] = c.get("serve.worker_restarts", 0) + 1
 
     def _pool_dead(self) -> bool:
+        """The scan behind ``submit``'s live-worker count, for when the
+        count reads zero: a worker may be spawned but not yet in its
+        loop, or the pool may really be dead."""
         if not self._started:
             return False
         if any(t is not None and t.is_alive() for t in self._threads):
@@ -497,11 +512,12 @@ class Engine:
                 c = self._metrics.counters
                 for key in ("serve.shed", f"serve.shed.reason.{reason}"):
                     c[key] = c.get(key, 0) + 1
-        ticket.future.set_result(
+        _resolve(
+            ticket,
             QueryResult(
                 query, "shed", give_up=GiveUp(reason),
                 qid=ticket.qid, queue_seconds=queue_s,
-            )
+            ),
         )
 
     def _note_level(self, level: int) -> None:
@@ -554,7 +570,7 @@ class Engine:
                 )
             else:
                 self._bump(index, (1, 0, 0, 1))
-            ticket.future.set_result(result)
+            _resolve(ticket, result)
         with self._lock:
             c = self._metrics.counters
             c["serve.worker_crashes"] = c.get("serve.worker_crashes", 0) + 1
@@ -575,11 +591,14 @@ class Engine:
                 enable_memoization(ctx)
         q = self._queue
         window = self.batch_max - 1 if self.batch else 0
+        with self._state_lock:
+            self._live += 1
         while True:
             item = q.get()
             if item is None:
                 continue
             if item is _CLOSE:
+                self._leave()
                 return
             chunk = [item]
             claiming: "Ticket | None" = item
@@ -595,7 +614,10 @@ class Engine:
                 claiming = None
                 self._serve_chunk(index, chunk)
             except BaseException as e:  # crash: never strand a Future
-                survivors = [t for t in chunk if not t.future.done()]
+                # Leave before reporting: a slot the supervisor retires
+                # must already read as dead to submit().
+                self._leave()
+                survivors = [t for t in chunk if not t.done()]
                 if claiming is not None and claiming in survivors:
                     # The crash fired at claim time: the ticket being
                     # claimed is the in-flight victim.
@@ -608,6 +630,10 @@ class Engine:
                     q.put_front(survivors[1:])
                 self._crash(index, victim, e)
                 return
+
+    def _leave(self) -> None:
+        with self._state_lock:
+            self._live -= 1
 
     def _shapes(self, index: int) -> dict:
         """Worker *index*'s resolved instances by ``(kind, rel, mode)``.
@@ -635,12 +661,14 @@ class Engine:
         # Group plain check queries per (rel, fuel) for the instance's
         # batch entry; everything else runs singly.  "Plain" excludes
         # budgets, deadlines, poison tags, and queries sampled for
-        # tracing — each of those needs its own execution.  Results
-        # resolve after the chunk's counters are accounted, once.
+        # tracing — each of those needs its own execution.  Tickets
+        # resolve after the chunk's counters are accounted, once;
+        # done[i] resolves to results[i].
         tel = self.telemetry
         shapes = self._shapes(index)
         counts = [0, 0, 0, 0]  # _WORKER_FIELDS
         done: list = []
+        results: list = []
         try:
             groups: dict[tuple, list] = {}
             singles: list = []
@@ -673,22 +701,22 @@ class Engine:
                 if len(items) == 1:
                     singles.extend(items)
                     continue
-                self._serve_check_batch(
-                    index, shapes, rel, fuel, items, counts, done
+                results += self._serve_check_batch(
+                    index, shapes, rel, fuel, items, counts
                 )
+                done += items
             for t in singles:
                 if t.expired():
                     # The deadline passed while chunk neighbors were served.
                     self._shed_ticket(t, "expired")
                     continue
-                done.append(
-                    (t.future, self._serve_one(index, shapes, t, counts))
-                )
+                results.append(self._serve_one(index, shapes, t, counts))
+                done.append(t)
         finally:
             if counts[0]:
                 self._bump(index, counts)
-            for fut, result in done:
-                fut.set_result(result)
+            for t, result in zip(done, results):
+                _resolve(t, result)
 
     def _bump(self, index: int, counts) -> None:
         # Telemetry-off accounting, one lock hold per chunk: the same
@@ -701,8 +729,9 @@ class Engine:
 
     def _serve_check_batch(
         self, index: int, shapes: dict, rel: str, fuel: int, items: list,
-        counts: list, done: list,
-    ) -> None:
+        counts: list,
+    ) -> "list[QueryResult]":
+        """The results of *items*, in order."""
         t0 = monotonic()
         n = len(items)
         tel = self.telemetry
@@ -733,22 +762,20 @@ class Engine:
             else:
                 counts[0] += n
                 counts[3] += n
-            for t in items:
-                done.append((t.future, QueryResult(
+            return [
+                QueryResult(
                     t.query, "error", error=str(e),
                     elapsed_seconds=elapsed, worker=index,
                     qid=t.qid, queue_seconds=t0 - t.submitted,
-                )))
-            return
+                )
+                for t in items
+            ]
         except Exception:
             # Anything else (a raise, a recursion too deep) is one bad
             # query's problem, not the group's: isolate by re-serving
             # each singly (the single path resolves the culprit and
             # answers its neighbors).
-            for t in items:
-                result = self._serve_one(index, shapes, t, counts)
-                done.append((t.future, result))
-            return
+            return [self._serve_one(index, shapes, t, counts) for t in items]
         elapsed = (monotonic() - t0) / n
         out = []
         gave_up = 0
@@ -766,16 +793,16 @@ class Engine:
                     elapsed_seconds=elapsed, worker=index, batched=True,
                     qid=t.qid, queue_seconds=t0 - t.submitted,
                 )
-            out.append((t.future, result))
+            out.append(result)
         if tel is not None:
             tel.record_batch(
                 kind="check", rel=rel, worker=index,
                 entries=[(t.qid, t0 - t.submitted) for t in items],
                 service_seconds=elapsed,
-                statuses=[r.status for _, r in out],
+                statuses=[r.status for r in out],
                 reasons=[
                     r.give_up.reason if r.give_up is not None else None
-                    for _, r in out
+                    for r in out
                 ],
             )
         else:
@@ -785,7 +812,7 @@ class Engine:
         ctl = self._overload
         if ctl is not None:
             self._note_level(ctl.observe(self._queue.qsize(), elapsed))
-        done += out
+        return out
 
     def _limits(self, query, remaining: "float | None" = None) -> dict:
         """The effective budget limits for *query* (empty = none).
@@ -976,6 +1003,16 @@ class Engine:
         return QueryResult(
             query, "error", error=f"unknown query type {type(query).__name__}"
         )
+
+
+def _resolve(ticket: Ticket, result: QueryResult) -> None:
+    """Resolve *ticket* with *result* — unless its caller cancelled it
+    while it was queued: the cancel stands and the answer is dropped."""
+    try:
+        ticket.set_result(result)
+    except InvalidStateError:
+        if not ticket.cancelled():
+            raise
 
 
 def _failed(query, exc: Exception, **fields) -> QueryResult:

@@ -89,7 +89,7 @@ class GiveUp:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """The outcome of one served query.
 
@@ -106,6 +106,9 @@ class QueryResult:
     (the query's own, or the worker's entropy draw) — recorded on
     every status, including ``error``, so any failure is replayable
     with ``GenQuery(..., seed=result.seed)``.
+
+    Slotted: one served query is one GC-tracked object here, beside
+    its :class:`~repro.serve.admission.Ticket`.
     """
 
     query: Any

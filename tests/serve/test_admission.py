@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -36,7 +35,7 @@ def nat(n):
 
 
 def _ticket(qid=1, deadline=None):
-    return Ticket(CheckQuery("le", (nat(1), nat(2))), Future(), qid,
+    return Ticket(CheckQuery("le", (nat(1), nat(2))), qid,
                   time.monotonic(), deadline)
 
 
@@ -500,6 +499,58 @@ class TestCloseSemantics:
             )
         assert len(results) == 8
         assert all(r.status in ("ok", "shed") for r in results)
+
+
+class TestCancel:
+    """A caller may cancel a query's future while it is queued: the
+    cancel stands, the worker drops that answer, and nothing else
+    notices — no crash, no error for a neighbor."""
+
+    def test_cancel_queued_query_does_not_crash_the_worker(self, nat_ctx):
+        with Engine(nat_ctx, workers=1, faults=_stall_plan(0.3)) as eng:
+            futures = [
+                eng.submit(CheckQuery("le", (nat(i % 5), nat(4))))
+                for i in range(20)
+            ]
+            assert futures[5].cancel()  # queued behind the stalled head
+            results = {
+                i: f.result(timeout=30)
+                for i, f in enumerate(futures) if i != 5
+            }
+            stats = eng.stats()
+        assert futures[5].cancelled()
+        assert all(r.ok and r.value is True for r in results.values())
+        assert stats["crashes"] == 0 and stats["restarts"] == 0
+
+    def test_cancelled_ticket_survives_expiry_shed(self, nat_ctx):
+        with Engine(nat_ctx, workers=1, faults=_stall_plan(0.3)) as eng:
+            eng.submit(CheckQuery("le", (nat(1), nat(2))))  # parks the worker
+            time.sleep(0.05)
+            doomed = eng.submit(
+                CheckQuery("le", (nat(1), nat(3)), deadline_seconds=0.05)
+            )
+            after = eng.submit(CheckQuery("le", (nat(2), nat(3))))
+            assert doomed.cancel()
+            assert after.result(timeout=30).ok
+            stats = eng.stats()
+        assert doomed.cancelled()
+        assert stats["crashes"] == 0
+        assert stats["shed"] == {"expired": 1}
+
+    def test_cancelled_ticket_survives_shutdown_drain(self, nat_ctx):
+        eng = Engine(nat_ctx, workers=1, faults=_stall_plan(0.3)).start()
+        eng.submit(CheckQuery("le", (nat(1), nat(2))))
+        time.sleep(0.05)
+        queued = [
+            eng.submit(CheckQuery("le", (nat(1), nat(i + 2))))
+            for i in range(3)
+        ]
+        assert queued[1].cancel()
+        eng.close(drain_timeout=0)  # sheds the queue; must not raise
+        assert queued[1].cancelled()
+        for f in (queued[0], queued[2]):
+            assert f.result(timeout=5).give_up.reason == "shutdown"
+        assert eng.stats()["crashes"] == 0
 
 
 class TestSeedRecording:

@@ -10,7 +10,6 @@ sentinels and expired tickets mixed in — the counter equals a scan.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ def _scan(q: AdmissionQueue) -> int:
 
 def _ticket(expired: bool = False) -> Ticket:
     deadline = time.monotonic() - 1.0 if expired else None
-    return Ticket(CheckQuery("le", ()), Future(), 0, time.monotonic(), deadline)
+    return Ticket(CheckQuery("le", ()), 0, time.monotonic(), deadline)
 
 
 @settings(max_examples=200, deadline=None)
