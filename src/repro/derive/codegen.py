@@ -55,9 +55,15 @@ twin ``__spec_eval_rec__`` (pinned-boxed, fast, eval protocol).
 
 Enumerators compile to Python generator functions (``yield`` /
 ``yield from``), generators to single-sample recursive functions with
-the weighted-backtrack loop at the top.  Those two walkers stay
-separate from the checker walker: their control protocols differ, and
-folding them in would make the walker branch on its caller.  External
+the weighted-backtrack loop at the top (one ``rng.random()`` per
+handler draw).  At a non-recursive premise whose plan is linear
+(:func:`~repro.derive.plan.linear_premise`) a generator enumerates the
+premise with its compiled enumerator and chooses one answer
+(:func:`~repro.derive.exec_core.choose`); the fast twin memoizes each
+such site's ``(fuel, ins) -> (answers, marker)`` in a dict of at most
+:data:`CHOICE_MEMO_CAP` entries.  Those two walkers stay separate from
+the checker walker: their control protocols differ, and folding them
+in would make the walker branch on its caller.  External
 instances are resolved at compile time through the registry (with the
 ``compiled`` backend preferred, so whole dependency trees compile
 together).
@@ -66,7 +72,8 @@ Profiling, observation, and budget hooks are threaded through the
 emitted ``rec``: one ``caches.get('derive_trace')`` plus one
 ``caches.get('derive_observe')`` plus one
 ``caches.get('derive_budget')`` per call and ``is not None`` guards —
-matching the interpreters' zero-overhead-off contract.  Dispatch
+matching the interpreters' zero-overhead-off contract.  Fast twins
+carry none of these sites, not even guarded.  Dispatch
 entries carry the pre-merged ``(kind, rel, mode, rule)`` trace key and
 the handler's static charge cost; span begin/end sites and budget
 charge sites (one ``charge_entry`` per level, one ``charge(cost)`` per
@@ -88,6 +95,7 @@ from ..producers.combinators import _enum_values, _gen_value, slice_exhaustive
 from ..producers.option_bool import NONE_OB, SOME_FALSE, SOME_TRUE, negate
 from ..producers.outcome import FAIL, OUT_OF_FUEL
 from . import specialize
+from .exec_core import choose, collect_answers
 from .plan import (
     OP_CHECK,
     OP_EVAL,
@@ -103,9 +111,14 @@ from .plan import (
     X_SLOT,
     Plan,
     PlanHandler,
+    linear_premise,
     lower_schedule,
 )
 from .schedule import Schedule
+
+
+#: Entries per chooser site in a fast generator twin's answer memo.
+CHOICE_MEMO_CAP = 256
 
 
 class _Emitter:
@@ -196,6 +209,8 @@ class _PlanCompiler:
                 "OUT_OF_FUEL": OUT_OF_FUEL,
                 "FAIL": FAIL,
                 "_negate": negate,
+                "_collect": collect_answers,
+                "_choose": choose,
                 "_ctx": ctx,
                 "_rbox": rbox,
                 "_box_nat": specialize.box_nat,
@@ -274,15 +289,6 @@ class _PlanCompiler:
         trailing = "," if len(exprs) == 1 else ""
         return f"({inner}{trailing})"
 
-    def _emit_instr_locals(self, em: _Emitter) -> None:
-        if self.fast:
-            em.emit("_tr = _ob = None")
-            return
-        em.emit("_caches = _ctx.caches")
-        em.emit("_tr = _caches.get('derive_trace')")
-        em.emit("_ob = _caches.get('derive_observe')")
-        em.emit("_bud = _caches.get('derive_budget')")
-
     def _emit_if(self, em: _Emitter, cond: str, *stmts: str) -> None:
         em.emit(f"if {cond}:")
         em.indent += 1
@@ -345,8 +351,10 @@ class _PlanCompiler:
             self._emit_dispatch(em)
             if self.proto is not None:
                 self._emit_checker_top(em)
+            elif self.kind == "enum":
+                self._emit_enum_top(em)
             else:
-                self._emit_top(em)
+                self._emit_gen_top(em)
         source = em.source()
         code = compile(source, f"<derived {self.kind} {self.plan.rel}>", "exec")
         namespace = dict(self.globals)
@@ -473,7 +481,10 @@ class _PlanCompiler:
         """An instrumented fixpoint's entry: hook locals, span begin,
         and the per-level ``charge_entry``."""
         plan = self.plan
-        self._emit_instr_locals(em)
+        em.emit("_caches = _ctx.caches")
+        em.emit("_tr = _caches.get('derive_trace')")
+        em.emit("_ob = _caches.get('derive_observe')")
+        em.emit("_bud = _caches.get('derive_budget')")
         em.emit(
             f"if _ob is not None: _sp = _ob.spans.begin({self.kind!r}, "
             f"{plan.rel!r}, {plan.mode_str!r}, _size, _top)"
@@ -1414,6 +1425,8 @@ class _PlanCompiler:
                         f"{item} = rec(_size1, _top, "
                         f"{self.args_tuple(op[3])}, _rng)"
                     )
+                elif linear_premise(self.ctx, op[6], op[7]):
+                    self._emit_choice(em, op, item)
                 else:
                     fn = self._bind_fn(
                         f"_gen_{op[6]}", self.producer_fn(op[6], op[7])
@@ -1442,33 +1455,67 @@ class _PlanCompiler:
         em.emit(f"return ({outs}{trailing})")
         em.indent -= 1
 
+    def _emit_choice(self, em: _Emitter, op: tuple, item: str) -> None:
+        """Enumerate-then-choose at a linear premise: run the premise's
+        compiled enumerator at ``_top`` and pick one answer.  The fast
+        twin memoizes ``(fuel, ins) -> (answers, marker)`` per site in a
+        dict of at most :data:`CHOICE_MEMO_CAP` entries (cleared when
+        full; threads racing past the check may each add one more, and
+        every entry is a pure function of its key).  The instrumented
+        twin recomputes, so its charges, trace and spans stay
+        site-for-site with the interpreter."""
+        from .instances import ENUM, resolve_compiled
+
+        enum = self._bind_fn(
+            f"_enum_{op[6]}", resolve_compiled(self.ctx, ENUM, op[6], op[7])
+        )
+        args = self.args_tuple(op[3])
+        if not self.fast:
+            em.emit(f"{item} = _choose(_collect({enum}(_top, {args})), _rng)")
+            return
+        memo = self._bind_global("_memo", {})
+        em.emit(f"_k = (_top, {args})")
+        em.emit(f"_c = {memo}.get(_k)")
+        em.emit("if _c is None:")
+        em.indent += 1
+        em.emit(f"_c = _collect({enum}(_top, _k[1]))")
+        em.emit(f"if len({memo}) >= {CHOICE_MEMO_CAP}: {memo}.clear()")
+        em.emit(f"{memo}[_k] = _c")
+        em.indent -= 1
+        em.emit(f"{item} = _choose(_c, _rng)")
+
     # .. the enumerator and generator fixpoints ..................................
 
-    def _emit_top(self, em: _Emitter) -> None:
-        ins = self._ins_params()
-        params = ", ".join(ins)
-        if self.kind == "enum":
-            em.emit(f"def rec(_size, _top, {params or '*_'}):")
-            em.indent += 1
+    # Fast twins carry no hook site at all: no hook locals, span or
+    # trace calls, or charges.
+
+    def _emit_enum_top(self, em: _Emitter) -> None:
+        instr = not self.fast
+        em.emit(f"def rec(_size, _top, {', '.join(self._ins_params()) or '*_'}):")
+        em.indent += 1
+        if instr:
             self._emit_prologue(
                 em,
                 "yield OUT_OF_FUEL",
                 "if _ob is not None: _ob.end_enum(_sp, 0, True)",
                 "return",
             )
-            em.emit("_fuel = False")
             em.emit("_nv = 0")
-            self._emit_size_branch(em, None)
+        em.emit("_fuel = False")
+        self._emit_size_branch(em, None)
+        if instr:
             em.emit("if _tr is None:")
             em.indent += 1
-            em.emit("for _h in _hs:")
-            em.indent += 1
-            self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
-            em.emit(f"for _x in {self._call_handler('_h[0]')}:")
-            em.indent += 1
-            em.emit("if _x is OUT_OF_FUEL: _fuel = True")
-            em.emit("else: yield _x")
-            em.indent -= 3
+        em.emit("for _h in _hs:")
+        em.indent += 1
+        self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
+        em.emit(f"for _x in {self._call_handler('_h[0]')}:")
+        em.indent += 1
+        em.emit("if _x is OUT_OF_FUEL: _fuel = True")
+        em.emit("else: yield _x")
+        em.indent -= 2
+        if instr:
+            em.indent -= 1
             em.emit("else:")
             em.indent += 1
             em.emit("for _h in _hs:")
@@ -1486,68 +1533,81 @@ class _PlanCompiler:
             em.indent -= 2
             em.emit("_tr.record4(_h[2], _sv, _sf)")
             em.indent -= 2
-            if self.plan.has_recursive:
-                em.emit("if _size == 0: _fuel = True")
-            em.emit("if _fuel: yield OUT_OF_FUEL")
+        if self.plan.has_recursive:
+            em.emit("if _size == 0: _fuel = True")
+        em.emit("if _fuel: yield OUT_OF_FUEL")
+        if instr:
             em.emit("if _ob is not None: _ob.end_enum(_sp, _nv, _fuel)")
-            em.indent -= 1
-        else:  # gen
-            em.emit("def rec(_size, _top, _ins, _rng):")
-            em.indent += 1
-            if params:
-                comma = "," if len(ins) == 1 else ""
-                em.emit(f"{params}{comma} = _ins")
+        em.indent -= 1
+
+    def _emit_gen_top(self, em: _Emitter) -> None:
+        """Weighted backtracking over the dispatched handlers: each
+        draw is one ``rng.random()`` scaled by the live weights' total,
+        and each handler gets two tries."""
+        instr = not self.fast
+        ins = self._ins_params()
+        em.emit("def rec(_size, _top, _ins, _rng):")
+        em.indent += 1
+        if ins:
+            comma = "," if len(ins) == 1 else ""
+            em.emit(f"{', '.join(ins)}{comma} = _ins")
+        if instr:
             self._emit_prologue(
                 em,
                 "if _ob is not None: _ob.end_gen(_sp, OUT_OF_FUEL, 0)",
                 "return OUT_OF_FUEL",
             )
             em.emit("_na = 0")
-            self._emit_size_branch(em, "_fuel")
-            em.emit(
-                "_live = [[_h, 2, ((_size if _h[1] else 1) or 1)]"
-                " for _h in _hs]"
-            )
-            em.emit("while _live:")
-            em.indent += 1
-            em.emit("_total = 0")
-            em.emit("for _e in _live: _total += _e[2]")
-            em.emit("_pick = _rng.randrange(_total)")
-            em.emit("for _e in _live:")
-            em.indent += 1
-            em.emit("if _pick < _e[2]: break")
-            em.emit("_pick -= _e[2]")
-            em.indent -= 1
-            em.emit("_h = _e[0]")
-            self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
+        self._emit_size_branch(em, "_fuel")
+        em.emit(
+            "_live = [[_h, 2, ((_size if _h[1] else 1) or 1)] for _h in _hs]"
+        )
+        em.emit("while _live:")
+        em.indent += 1
+        em.emit("_total = 0")
+        em.emit("for _e in _live: _total += _e[2]")
+        em.emit("_pick = _rng.random() * _total")
+        em.emit("_acc = 0")
+        em.emit("for _e in _live:")
+        em.indent += 1
+        em.emit("_acc += _e[2]")
+        em.emit("if _pick < _acc: break")
+        em.indent -= 1
+        em.emit("_h = _e[0]")
+        self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
+        if instr:
             em.emit("_na += 1")
-            args = f", {params}" if params else ""
-            em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
+        args = "".join(f", {p}" for p in ins)
+        em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
+        if instr:
             em.emit("if _res is FAIL:")
             em.indent += 1
-            em.emit("if _tr is not None:"
-                    " _tr.record4(_h[2], False, False)")
+            em.emit("if _tr is not None: _tr.record4(_h[2], False, False)")
             em.indent -= 1
             em.emit("elif _res is OUT_OF_FUEL:")
             em.indent += 1
             em.emit("_fuel = True")
-            em.emit("if _tr is not None:"
-                    " _tr.record4(_h[2], False, True)")
+            em.emit("if _tr is not None: _tr.record4(_h[2], False, True)")
             em.indent -= 1
             em.emit("else:")
             em.indent += 1
-            em.emit("if _tr is not None:"
-                    " _tr.record4(_h[2], True, False)")
+            em.emit("if _tr is not None: _tr.record4(_h[2], True, False)")
             em.emit("if _ob is not None: _ob.end_gen(_sp, _res, _na)")
             em.emit("return _res")
             em.indent -= 1
-            em.emit("_e[1] -= 1")
-            em.emit("if _e[1] <= 0: _live.remove(_e)")
-            em.indent -= 1
+        else:
+            em.emit("if _res is OUT_OF_FUEL: _fuel = True")
+            em.emit("elif _res is not FAIL: return _res")
+        em.emit("_e[1] -= 1")
+        em.emit("if _e[1] <= 0: _live.remove(_e)")
+        em.indent -= 1
+        if instr:
             em.emit("_res = OUT_OF_FUEL if _fuel else FAIL")
             em.emit("if _ob is not None: _ob.end_gen(_sp, _res, _na)")
             em.emit("return _res")
-            em.indent -= 1
+        else:
+            em.emit("return OUT_OF_FUEL if _fuel else FAIL")
+        em.indent -= 1
 
 
 def _has_loop_ops(h: PlanHandler) -> bool:

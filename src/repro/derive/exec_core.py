@@ -14,7 +14,11 @@ combinators differ:
   concatenate, producer ops nest enumeration loops, fuel markers
   collapse to one trailing marker per level;
 * :func:`run_gen` — the ``G (option A)`` fixpoint: weighted random
-  backtracking over handlers, producer ops draw single samples.
+  backtracking over handlers (one ``rng.random()`` per draw); a
+  producer op draws a single sample, except at a *linear* premise
+  (:func:`~repro.derive.plan.linear_premise`), which it enumerates at
+  the same fuel and chooses from uniformly (:func:`choose`) — the
+  same support at that size, with no blind backtracking.
 
 Environments are flat slot lists (inputs first, then locals — see
 :mod:`repro.derive.plan`); slots are single-assignment along any
@@ -81,6 +85,7 @@ from .plan import (
     OP_TESTEQ,
     Plan,
     PlanHandler,
+    linear_premise,
 )
 from .runtime import eval_expr, eval_exprs
 from .stats import STATS_KEY
@@ -589,13 +594,12 @@ def run_gen(
         total = 0
         for entry in remaining:
             total += entry[2]
-        pick = rng.randrange(total)
-        entry = remaining[0]
-        for candidate in remaining:
-            if pick < candidate[2]:
-                entry = candidate
+        pick = rng.random() * total
+        acc = 0
+        for entry in remaining:
+            acc += entry[2]
+            if pick < acc:
                 break
-            pick -= candidate[2]
         h = entry[0]
         if bud is not None and bud.charge(h.cost):
             bud.record_site("gen", plan.rel, plan.mode_str)
@@ -641,7 +645,8 @@ def _gen_handler(
     retries: int,
 ) -> Any:
     """One sampled path through a handler: every op is straightline in
-    the generator monad (producers draw a single sample)."""
+    the generator monad (a producer draws a single sample, or chooses
+    one answer of a linear premise)."""
     env = list(ins)
     if h.tail:
         env += h.tail
@@ -681,6 +686,9 @@ def _gen_handler(
             ins2 = eval_exprs(op[3], env)
             if op[5]:  # recursive self-call, one level down
                 produced = run_gen(ctx, plan, rec_size, top, ins2, rng, retries)
+            elif linear_premise(ctx, op[6], op[7]):
+                items = _enum_instance(ctx, op).fn(top, ins2)
+                produced = choose(collect_answers(items), rng)
             else:
                 produced = _gen_instance(ctx, op).fn(top, ins2, rng)
             if produced is FAIL or produced is OUT_OF_FUEL:
@@ -693,3 +701,30 @@ def _gen_handler(
                 return value
             env[op[1]] = value
     return eval_exprs(h.out_exprs, env)
+
+
+# ---------------------------------------------------------------------------
+# Enumerate-then-choose (the generators' linear premises).
+# ---------------------------------------------------------------------------
+
+
+def collect_answers(items) -> tuple:
+    """Drain a premise enumeration into ``(answers, saw_marker)``."""
+    answers = []
+    marker = False
+    for item in items:
+        if item is OUT_OF_FUEL:
+            marker = True
+        else:
+            answers.append(item)
+    return tuple(answers), marker
+
+
+def choose(collected: tuple, rng: random.Random) -> Any:
+    """One answer of a :func:`collect_answers` result, uniformly, with a
+    single ``rng.random()``; with no answers, ``OUT_OF_FUEL`` when the
+    enumeration carried the marker and ``FAIL`` (no draw) otherwise."""
+    answers, marker = collected
+    if not answers:
+        return OUT_OF_FUEL if marker else FAIL
+    return answers[int(rng.random() * len(answers))]

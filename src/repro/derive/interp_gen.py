@@ -8,7 +8,10 @@ enumerator instantiation:
 
 * ``enumerating``  →  QuickChick-style ``backtrack`` over handlers
   (weighted random choice, discarding failed options);
-* the recursive calls draw randomly instead of enumerating;
+* recursive calls and premises draw one random sample instead of
+  enumerating — except a premise whose plan is linear
+  (:func:`~repro.derive.plan.linear_premise`), which is enumerated at
+  the same fuel and one of its answers chosen uniformly;
 * existential instantiation uses the unconstrained random generator.
 
 A run returns one output tuple, or :data:`FAIL` (no derivation found

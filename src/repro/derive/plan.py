@@ -604,6 +604,101 @@ def _functionalize_handler(ctx: Context, handler: PlanHandler) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Linearity (the generators' enumerate-then-choose predicate).
+# ---------------------------------------------------------------------------
+
+#: ``ctx.artifacts`` slot holding :func:`linear_premise`'s verdicts,
+#: beside the determinacy verdicts: ``(registry epoch, {(rel,
+#: mode_str): bool})``.
+LINEAR_KEY = "linear_premises"
+
+
+def linear_premise(ctx: Context, rel: str, mode: Mode) -> bool:
+    """Is the producer plan for ``(rel, mode)`` *linear*?
+
+    Linear means: no :data:`OP_INSTANTIATE`; at most one producer op
+    (recursive or external) in each handler and at most one recursive
+    producer op across all of them; every external producer premise
+    linear in turn; and no instance on the way registered from outside
+    derivation (:data:`~repro.derive.instances.AS_REGISTERED`) — the
+    enumerator would call it, and a registered generator keeps being
+    called.  Enumerating a linear plan at fuel ``f`` is then a chain of
+    at most ``f + 1`` levels, each yielding one premise's answers, so a
+    derived generator can afford to enumerate such a premise and choose
+    among its answers (:func:`repro.derive.exec_core.choose`) instead of
+    sampling it blind.
+
+    Both backends decide their chooser sites with this one predicate
+    (the compiled one at compile time, the interpreter per call), so
+    seeded replay stays identical between them.  Verdicts are computed
+    under ``ctx._derive_lock`` and published only when final; they are
+    dropped whenever :func:`~repro.derive.instances.register` bumps the
+    registry epoch.
+    """
+    from .instances import REGISTRY_EPOCH
+
+    key = (rel, str(mode))
+    entry = ctx.artifacts.get(LINEAR_KEY)
+    if entry is not None and entry[0] == ctx.artifacts.get(REGISTRY_EPOCH, 0):
+        found = entry[1].get(key)
+        if found is not None:
+            return found
+    with ctx._derive_lock:
+        epoch = ctx.artifacts.get(REGISTRY_EPOCH, 0)
+        entry = ctx.artifacts.get(LINEAR_KEY)
+        if entry is None or entry[0] != epoch:
+            entry = ctx.artifacts[LINEAR_KEY] = (epoch, {})
+        return _linear(ctx, rel, mode, entry[1], set())
+
+
+def _linear(
+    ctx: Context, rel: str, mode: Mode, verdicts: dict, active: set
+) -> bool:
+    """:func:`linear_premise`'s walk; *active* holds the premises being
+    decided, so a cycle back to one of them reads as not linear (every
+    premise on the cycle is then not linear either)."""
+    from .instances import AS_REGISTERED, ENUM, GEN, _key
+    from .scheduler import build_schedule
+
+    key = (rel, str(mode))
+    found = verdicts.get(key)
+    if found is not None:
+        return found
+    if key in active:
+        return False
+    linear = True
+    for kind in (ENUM, GEN):
+        instance = ctx.instances.get(_key(kind, rel, mode))
+        if instance is not None and instance.source in AS_REGISTERED:
+            linear = False
+    if linear:
+        active.add(key)
+        plan = lower_schedule(ctx, build_schedule(ctx, rel, mode))
+        linear = _plan_is_linear(ctx, plan, verdicts, active)
+        active.discard(key)
+    verdicts[key] = linear
+    return linear
+
+
+def _plan_is_linear(ctx: Context, plan: Plan, verdicts: dict, active: set) -> bool:
+    rec_ops = 0
+    for h in plan.handlers:
+        producers = 0
+        for op in h.ops:
+            if op[0] == OP_INSTANTIATE:
+                return False
+            if op[0] in (OP_PRODUCE, OP_EVALREL):
+                producers += 1
+                if op[5]:
+                    rec_ops += 1
+                elif not _linear(ctx, op[6], op[7], verdicts, active):
+                    return False
+        if producers > 1 or rec_ops > 1:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Helpers.
 # ---------------------------------------------------------------------------
 

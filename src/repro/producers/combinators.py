@@ -193,21 +193,37 @@ def gen_datatype(ctx: Context, ty: TypeExpr) -> Generator:
     return Generator(run)
 
 
+def _gen_tables(ctx: Context, ty: TypeExpr) -> tuple:
+    """``(base, full)`` for *ty*: its nullary constructors and all of
+    them, each as ``(name, arg_types)`` at *ty*'s instantiation,
+    resolved once per context."""
+    cache = ctx.artifacts.setdefault("gen_ctor_tables", {})
+    tables = cache.get(ty)
+    if tables is None:
+        dt, ty_args = _require_datatype(ctx, ty)
+        full = tuple(
+            (c.name, dt.constructor_arg_types(c.name, ty_args))
+            for c in dt.constructors
+        )
+        base = tuple(
+            entry for entry, c in zip(full, dt.constructors) if not c.arg_types
+        )
+        tables = cache[ty] = (base, full)
+    return tables
+
+
 def _gen_value(ctx: Context, ty: TypeExpr, size: int, rng: random.Random) -> Any:
-    dt, ty_args = _require_datatype(ctx, ty)
-    if size == 0:
-        candidates = [c for c in dt.constructors if not c.arg_types]
-    else:
-        candidates = list(dt.constructors)
+    base, full = _gen_tables(ctx, ty)
+    candidates = base if size == 0 else full
     if not candidates:
-        return OUT_OF_FUEL if dt.constructors else FAIL
+        return OUT_OF_FUEL if full else FAIL
     # Retry within the candidate set: an inner OUT_OF_FUEL (an argument
     # type with no small inhabitants) discards that constructor.
     options = list(candidates)
     saw_fuel = False
     while options:
         ctor = options[rng.randrange(len(options))]
-        arg_tys = dt.constructor_arg_types(ctor.name, ty_args)
+        name, arg_tys = ctor
         args = []
         failed = False
         for at in arg_tys:
@@ -218,6 +234,6 @@ def _gen_value(ctx: Context, ty: TypeExpr, size: int, rng: random.Random) -> Any
                 break
             args.append(sub)
         if not failed:
-            return Value(ctor.name, tuple(args))
+            return Value(name, tuple(args))
         options.remove(ctor)
     return OUT_OF_FUEL if saw_fuel else FAIL

@@ -665,3 +665,33 @@ class TestAllModesSmallRelations:
     def test_typing_modes(self, stlc_ctx, mode):
         assert_enums_agree(stlc_ctx, "typing", mode, fuels=(0, 2))
         assert_gens_agree(stlc_ctx, "typing", mode, seeds=range(15))
+
+
+class TestChooserReplay:
+    """Seeded replay through enumerate-then-choose sites at the
+    Figure-3 fuels: the interpreter recomputes every choice while the
+    compiled fast twin memoizes it, and both must draw the same
+    stream.  A non-empty memo shows the chooser sites were reached."""
+
+    @staticmethod
+    def _memo_entries(ctx, rel, mode_str):
+        fast = resolve_compiled(ctx, GEN, rel, Mode.from_string(mode_str))
+        return sum(
+            len(v)
+            for k, v in fast.__fast_rec__.__globals__.items()
+            if k.startswith("_memo")
+        )
+
+    def test_stlc_typing_at_fuel_4(self):
+        from repro.casestudies import stlc
+
+        ctx = stlc.make_context()
+        assert_gens_agree(ctx, "typing", "ioi", fuel=4, seeds=range(40))
+        assert self._memo_entries(ctx, "typing", "ioi")
+
+    def test_bst_at_fuel_10(self):
+        from repro.casestudies import bst
+
+        ctx = bst.make_context()
+        assert_gens_agree(ctx, "bst", "iio", fuel=10)
+        assert self._memo_entries(ctx, "bst", "iio")

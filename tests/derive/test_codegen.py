@@ -8,7 +8,7 @@ from repro.core import parse_declarations
 from repro.core.values import V, from_int, from_list, nat_list
 from repro.derive import Mode
 from repro.derive.instances import CHECKER, ENUM, GEN, resolve, resolve_compiled
-from repro.producers.outcome import OUT_OF_FUEL, is_value
+from repro.producers.outcome import FAIL, OUT_OF_FUEL, is_value
 
 
 def checker_pair(ctx, rel):
@@ -213,3 +213,238 @@ class TestEvalTwin:
                     assert r is OUT_OF_FUEL or r is FAIL
                 else:
                     assert r is FAIL
+
+
+CHOOSER_DECLS = """
+Inductive pick_var : list type -> type -> nat -> Prop :=
+| pv : forall G t x, lookup G x t -> pick_var G t x.
+
+Inductive two_way : nat -> nat -> Prop :=
+| tw_0 : two_way 0 0
+| tw_1 : forall n m, two_way n m -> two_way n (S m)
+| tw_2 : forall n m, two_way n m -> two_way n (S (S m)).
+
+Inductive pick_two : nat -> nat -> Prop :=
+| pt : forall n m, two_way n m -> pick_two n m.
+
+Inductive both_vars : list type -> type -> nat -> nat -> Prop :=
+| bv : forall G t x y, lookup G x t -> lookup G y t -> both_vars G t x y.
+
+Inductive pick_both : list type -> type -> nat -> nat -> Prop :=
+| pb : forall G t x y, both_vars G t x y -> pick_both G t x y.
+"""
+
+N_TY = V("N")
+ARR_NN = V("Arr", N_TY, N_TY)
+#: (G, t) inputs of ``pick_var``: several matches, one, none with and
+#: without a fuel cut-off.
+CHOOSER_INPUTS = [
+    (from_list([N_TY, ARR_NN, N_TY, N_TY]), N_TY),
+    (from_list([N_TY, ARR_NN, N_TY, N_TY]), ARR_NN),
+    (from_list([ARR_NN]), N_TY),
+    (from_list([]), N_TY),
+]
+
+
+def chooser_ctx(stlc_ctx):
+    parse_declarations(stlc_ctx, CHOOSER_DECLS)
+    return stlc_ctx
+
+
+def gen_source(gen_st) -> str:
+    return gen_st.__derived_source__ + gen_st.__fast_rec__.__derived_source__
+
+
+class TestChooserSites:
+    """Enumerate-then-choose at linear premises: ``pick_var``@iio calls
+    ``lookup``@ioi, which its generator enumerates and chooses from."""
+
+    def test_chosen_answers_are_enumerated(self, stlc_ctx):
+        ctx = chooser_ctx(stlc_ctx)
+        gen = resolve_compiled(ctx, GEN, "pick_var", Mode.from_string("iio"))
+        enum = resolve_compiled(ctx, ENUM, "lookup", Mode.from_string("ioi"))
+        assert "_choose(" in gen_source(gen)
+        for ins in CHOOSER_INPUTS:
+            for fuel in range(5):
+                items = list(enum(fuel, ins))
+                answers = [x for x in items if x is not OUT_OF_FUEL]
+                chosen = {gen(fuel, ins, random.Random(s)) for s in range(60)}
+                if answers:
+                    # Same support as the enumeration at this size.
+                    assert chosen == set(answers)
+                else:
+                    marker = OUT_OF_FUEL if OUT_OF_FUEL in items else FAIL
+                    assert chosen == {marker}
+
+    def test_empty_enumeration_outcomes(self, stlc_ctx):
+        from repro.derive.exec_core import choose
+
+        ctx = chooser_ctx(stlc_ctx)
+        gen = resolve_compiled(ctx, GEN, "pick_var", Mode.from_string("iio"))
+        only_arrow = from_list([ARR_NN])
+        # Fuel 0 cuts lookup_there off (the marker); fuel 3 reaches the
+        # end of the list (a definite miss).
+        assert gen(0, (only_arrow, N_TY), random.Random(1)) is OUT_OF_FUEL
+        assert gen(3, (only_arrow, N_TY), random.Random(1)) is FAIL
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert choose(((), True), rng) is OUT_OF_FUEL
+        assert choose(((), False), rng) is FAIL
+        assert rng.getstate() == state  # no draw without answers
+
+    def test_nonlinear_premises_keep_generator_path(self, stlc_ctx):
+        from repro.casestudies import bst, ifc
+        from repro.derive.plan import linear_premise
+
+        ctx = chooser_ctx(stlc_ctx)
+        assert linear_premise(ctx, "lookup", Mode.from_string("ioi"))
+        assert not linear_premise(ctx, "two_way", Mode.from_string("io"))
+        gen = resolve_compiled(ctx, GEN, "pick_two", Mode.from_string("io"))
+        assert "_choose(" not in gen_source(gen)
+        assert "_gen_two_way" in gen_source(gen)
+        # Two linear premises in sequence enumerate a product, not a
+        # chain: both_vars keeps its generator (which chooses at each
+        # of its own lookup premises).
+        iioo = Mode.from_string("iioo")
+        assert not linear_premise(ctx, "both_vars", iioo)
+        gen = resolve_compiled(ctx, GEN, "pick_both", iioo)
+        assert "_choose(" not in gen_source(gen)
+        assert "_gen_both_vars" in gen_source(gen)
+        both = resolve_compiled(ctx, GEN, "both_vars", iioo)
+        assert gen_source(both).count("_choose(") >= 2
+
+        bctx = bst.make_context()
+        assert linear_premise(bctx, "lt", Mode.from_string("io"))
+        ictx = ifc.make_context()
+        io = Mode.from_string("io")
+        assert not linear_premise(ictx, "indist_atom", io)  # OP_INSTANTIATE
+        gen = resolve_compiled(ictx, GEN, "indist_list", io)
+        assert "_choose(" not in gen_source(gen)
+        assert "_gen_indist_atom" in gen_source(gen)
+
+    def test_verdict_is_published_only_when_final(self, stlc_ctx, monkeypatch):
+        """A second thread asking while the first computes the same
+        verdict waits for it instead of reading a provisional one."""
+        import threading
+
+        from repro.derive import plan as plan_mod
+
+        ctx = chooser_ctx(stlc_ctx)
+        iio = Mode.from_string("iio")
+        other, real = [], plan_mod.lower_schedule
+
+        def lower_while_asked(ctx_, schedule):
+            if not other:
+                t = threading.Thread(
+                    target=lambda: other.append(
+                        plan_mod.linear_premise(ctx, "pick_var", iio)
+                    )
+                )
+                other.append(t)
+                t.start()
+                t.join(timeout=0.2)
+                assert t.is_alive()  # blocked on the derivation lock
+            return real(ctx_, schedule)
+
+        monkeypatch.setattr(plan_mod, "lower_schedule", lower_while_asked)
+        assert plan_mod.linear_premise(ctx, "pick_var", iio)
+        other[0].join(timeout=10)
+        assert other[1:] == [True]
+
+    def test_registration_refreshes_verdicts(self, stlc_ctx):
+        from repro.derive import register_producer
+        from repro.derive.plan import linear_premise
+
+        ctx = chooser_ctx(stlc_ctx)
+        ioi, iio = Mode.from_string("ioi"), Mode.from_string("iio")
+        assert linear_premise(ctx, "pick_var", iio)
+        # A handwritten enumerator for the nested premise is what the
+        # derived enumerator would call: its cost is unknown.
+        register_producer(ctx, ENUM, "lookup", ioi, lambda fuel, ins: iter(()))
+        assert not linear_premise(ctx, "lookup", ioi)
+        assert not linear_premise(ctx, "pick_var", iio)
+
+    def test_registered_generator_still_called(self, stlc_ctx):
+        from repro.core.values import to_list
+        from repro.derive import register_producer
+
+        calls = []
+
+        def hand_lookup(fuel, ins, rng):
+            env, ty = ins
+            hits = [i for i, t in enumerate(to_list(env)) if t == ty]
+            calls.append(ins)
+            return (from_int(rng.choice(hits)),) if hits else FAIL
+
+        ioi = Mode.from_string("ioi")
+        register_producer(stlc_ctx, GEN, "lookup", ioi, hand_lookup, replace=True)
+        gen = resolve_compiled(stlc_ctx, GEN, "typing", ioi)
+        assert "_choose(" not in gen_source(gen)
+        env = from_list([N_TY, ARR_NN])
+        for seed in range(40):
+            gen(4, (env, N_TY), random.Random(seed))
+        assert calls
+
+    def test_fast_memo_is_bounded(self, stlc_ctx):
+        from repro.derive.codegen import CHOICE_MEMO_CAP
+
+        ctx = chooser_ctx(stlc_ctx)
+        gen = resolve_compiled(ctx, GEN, "pick_var", Mode.from_string("iio"))
+        fast = gen.__fast_rec__
+        (memo,) = [v for k, v in fast.__globals__.items() if k.startswith("_memo")]
+        ins = (from_list([N_TY]), N_TY)
+        rng = random.Random(0)
+        for fuel in range(10 * CHOICE_MEMO_CAP):
+            assert fast(fuel, fuel, ins, rng) == (from_int(0),)
+            assert len(memo) <= CHOICE_MEMO_CAP
+        assert memo
+
+    def test_fast_memo_under_concurrent_callers(self, stlc_ctx):
+        """Engine workers share one compiled generator: its memo may
+        overshoot the cap by one entry per racing thread, never answer
+        wrongly."""
+        import sys
+        import threading
+
+        from repro.derive.codegen import CHOICE_MEMO_CAP
+
+        ctx = chooser_ctx(stlc_ctx)
+        gen = resolve_compiled(ctx, GEN, "pick_var", Mode.from_string("iio"))
+        fast = gen.__fast_rec__
+        (memo,) = [v for k, v in fast.__globals__.items() if k.startswith("_memo")]
+        ins = (from_list([ARR_NN, N_TY]), N_TY)
+        n_threads, sizes, bad = 4, [], []
+
+        def worker(offset):
+            rng = random.Random(offset)
+            for fuel in range(offset, offset + 2 * CHOICE_MEMO_CAP):
+                if fast(fuel, fuel, ins, rng) != (from_int(1),):
+                    bad.append(fuel)
+                sizes.append(len(memo))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(1 + k * 97,))
+                for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        assert len(sizes) == n_threads * 2 * CHOICE_MEMO_CAP
+        assert max(sizes) <= CHOICE_MEMO_CAP + n_threads
+
+    @pytest.mark.parametrize("kind", [ENUM, GEN])
+    def test_fast_producer_twins_carry_no_hook_sites(self, stlc_ctx, kind):
+        mode = Mode.from_string("ioi")
+        for rel in ("typing", "lookup"):
+            src = resolve_compiled(stlc_ctx, kind, rel, mode).__fast_rec__
+            src = src.__derived_source__
+            for hook in ("_tr", "_ob", "_bud", "record4", "spans", "charge"):
+                assert hook not in src, (rel, hook)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.values import V, from_int, from_list, nat_list, to_int, to_list
 from repro.derive import derive_checker, derive_enumerator, derive_generator
-from repro.producers.outcome import OUT_OF_FUEL, is_value
+from repro.producers.outcome import FAIL, OUT_OF_FUEL, is_value
 from repro.semantics import derivable
 
 
@@ -165,3 +165,87 @@ class TestMultipleOutputs:
             if found >= 25:
                 break
         assert found >= 10
+
+
+def chooser_site(ctx, op):
+    from repro.derive.plan import linear_premise
+
+    return linear_premise(ctx, op[6], op[7])
+
+
+class TestChooserSites:
+    """The interpreter's enumerate-then-choose at linear premises (the
+    compiled twin is tested in ``test_codegen.py``)."""
+
+    @pytest.fixture(autouse=True)
+    def _setup(self, stlc_ctx):
+        from repro.core import parse_declarations
+
+        from .test_codegen import CHOOSER_DECLS
+
+        parse_declarations(stlc_ctx, CHOOSER_DECLS)
+        self.ctx = stlc_ctx
+
+    @staticmethod
+    def _premise_ops(ctx, rel, mode):
+        from repro.derive.modes import Mode
+        from repro.derive.plan import OP_EVALREL, OP_PRODUCE, lower_schedule
+        from repro.derive.scheduler import build_schedule
+
+        plan = lower_schedule(ctx, build_schedule(ctx, rel, Mode.from_string(mode)))
+        return [
+            op for h in plan.handlers for op in h.ops
+            if op[0] in (OP_PRODUCE, OP_EVALREL) and not op[5]
+        ]
+
+    def test_chosen_answers_are_enumerated(self):
+        from .test_codegen import CHOOSER_INPUTS
+
+        gen = derive_generator(self.ctx, "pick_var", "iio")
+        enum = derive_enumerator(self.ctx, "lookup", "ioi")
+        for ins in CHOOSER_INPUTS:
+            for fuel in range(5):
+                items = list(enum(fuel, *ins))
+                answers = [x for x in items if x is not OUT_OF_FUEL]
+                chosen = {gen(fuel, *ins, rng=random.Random(s)) for s in range(60)}
+                if answers:
+                    assert chosen == set(answers)
+                else:
+                    marker = OUT_OF_FUEL if OUT_OF_FUEL in items else FAIL
+                    assert chosen == {marker}
+
+    def test_nonlinear_premises_keep_generator_path(self):
+        from repro.casestudies import ifc
+
+        (lookup_op,) = self._premise_ops(self.ctx, "typing", "ioi")
+        assert chooser_site(self.ctx, lookup_op)
+        (two_way_op,) = self._premise_ops(self.ctx, "pick_two", "io")
+        assert not chooser_site(self.ctx, two_way_op)
+        (both_op,) = self._premise_ops(self.ctx, "pick_both", "iioo")
+        assert not chooser_site(self.ctx, both_op)
+        ictx = ifc.make_context()
+        (atom_op,) = self._premise_ops(ictx, "indist_list", "io")
+        assert not chooser_site(ictx, atom_op)
+
+    def test_registered_generator_still_called(self):
+        from repro.derive import register_producer
+        from repro.derive.instances import GEN
+        from repro.derive.modes import Mode
+
+        calls = []
+
+        def hand_lookup(fuel, ins, rng):
+            env, ty = ins
+            hits = [i for i, t in enumerate(to_list(env)) if t == ty]
+            calls.append(ins)
+            return (from_int(rng.choice(hits)),) if hits else FAIL
+
+        ioi = Mode.from_string("ioi")
+        register_producer(self.ctx, GEN, "lookup", ioi, hand_lookup, replace=True)
+        gen = derive_generator(self.ctx, "typing", "ioi")
+        (lookup_op,) = self._premise_ops(self.ctx, "typing", "ioi")
+        assert not chooser_site(self.ctx, lookup_op)
+        env = from_list([V("N"), V("Arr", V("N"), V("N"))])
+        for seed in range(40):
+            gen(4, env, V("N"), rng=random.Random(seed))
+        assert calls

@@ -152,6 +152,31 @@ class TestBackendIdentity:
         assert ids_i == ids_c
         assert cov_i == cov_c
 
+    def test_interp_and_compiled_generator_identical_through_choosers(self):
+        """STLC ``typing``@ioi enumerates its ``lookup`` premise and
+        chooses: the premise's enum spans and coverage rows must match
+        between the backends too."""
+        from repro.casestudies import stlc
+        from repro.core.values import V, from_list
+        from repro.derive.instances import GEN
+
+        ctx = stlc.make_context()
+        interp = derive_generator(ctx, "typing", "ioi")
+        compiled = resolve_compiled(ctx, GEN, "typing", Mode.from_string("ioi"))
+        N = V("N")
+        env = from_list([N, V("Arr", N, N)])
+        ids_i, cov_i = self._spans_and_coverage(
+            ctx,
+            lambda: [interp(4, env, N, rng=random.Random(s)) for s in range(10)],
+        )
+        ids_c, cov_c = self._spans_and_coverage(
+            ctx,
+            lambda: [compiled(4, (env, N), random.Random(s)) for s in range(10)],
+        )
+        assert any(ident[3] == "enum" for ident in ids_i), "no chooser span"
+        assert ids_i == ids_c
+        assert cov_i == cov_c
+
     def test_mixed_backends_aggregate_one_trace(self, nat_ctx):
         interp = derive_checker(nat_ctx, "le")
         compiled = resolve_compiled(nat_ctx, CHECKER, "le", Mode.checker(2))

@@ -173,3 +173,32 @@ class TestProducersUnderFaults:
                         assert check(30, (arg,) + a).is_true, (
                             f"faulted gen produced an invalid value: {a}"
                         )
+
+    def test_gens_agree_through_chooser_sites(self):
+        """STLC ``typing``@ioi enumerates-then-chooses at its ``lookup``
+        premise: under a fault schedule both backends recompute the
+        premise enumeration (charges and all) and draw identically."""
+        from repro.casestudies import stlc
+        from repro.core.values import V, from_list
+
+        ctx = stlc.make_context()
+        mode = Mode.from_string("ioi")
+        interp = resolve(ctx, GEN, "typing", mode).fn
+        compiled = resolve_compiled(ctx, GEN, "typing", mode)
+        check = resolve(ctx, CHECKER, "typing", Mode.checker(3)).fn
+        N = V("N")
+        env = from_list([N, V("Arr", N, N)])
+        vars_seen = 0
+        for plan in fault_plans():
+            for seed in range(8):
+                with budget_scope(ctx, faults=plan, check_every=1):
+                    a = interp(4, (env, N), random.Random(seed))
+                with budget_scope(ctx, faults=plan, check_every=1):
+                    b = compiled(4, (env, N), random.Random(seed))
+                assert a == b, f"gen diverges: seed={seed} plan={list(plan)}"
+                if isinstance(a, tuple):
+                    vars_seen += "Vart" in str(a[0])
+                    assert check(30, (env, a[0], N)).is_true, (
+                        f"faulted gen produced an ill-typed term: {a}"
+                    )
+        assert vars_seen  # the lookup chooser site was reached
