@@ -1,156 +1,66 @@
-"""Observability benchmark: the zero-overhead-off guard.
+"""Observability benchmark: the cost of observation, and backend
+identity under it.
 
-The observe hooks added to ``derive/exec_core.py`` and the compiled
-twins cost one ``caches.get('derive_observe')`` probe per fixpoint
-level when observation is off.  This bench holds that to **noise**:
-
-* **observation-off overhead** — the live executor vs the frozen PR 3
-  executor (``benchmarks/legacy/exec_core_pr3.py``, a verbatim copy
-  from before the hooks landed) on the Figure 3 BST and STLC checker
-  workloads; acceptance bar **<= 1.05x**.  Timings are interleaved
-  best-of-N (base/live alternating) so scheduler drift hits both
-  sides equally.
-* **observation-on cost** — reported, not barred: spans allocate one
-  object per fixpoint level, so this is expected to be a multiple,
-  and it is the price of a full call tree, not a regression.
+* **observation-on cost** — reported, not barred: the compiled
+  Figure 3 BST and STLC checkers with observation off vs on, timed
+  under the alternating-pairs rule of :mod:`benchmarks.pairs`.  Off,
+  the entry wrappers run the fast twins; on, the instrumented twins,
+  which allocate one span per fixpoint level.  The ratio is the price
+  of a full call tree, not a regression.
 * **backend identity** — with observation on, the interpreted and
   compiled backends must produce identical timing-stripped span trees
-  and identical rule coverage on the same workload (the PR 3 trace
-  contract, extended to spans).
+  and identical rule coverage on the same workload (the trace
+  contract, extended to spans).  The generator's identity through
+  choosers is ``tests/observe/test_session.py::TestBackendIdentity``.
+
+That observation costs nothing when off is checked exactly, not
+timed: with no hook installed the entry wrappers select the fast
+twins, which spell no hook site
+(``tests/derive/test_codegen.py::TestFastTwinsCarryNoHooks``).
 
 Run standalone (prints the table)::
 
     PYTHONPATH=src python benchmarks/bench_observe.py
 
-or under pytest (asserts the bars)::
+or under pytest (asserts the identities)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_observe.py -s
 
-``REPRO_BENCH_QUICK=1`` shrinks workloads and relaxes the timing bar
-(identity assertions stay exact — they are not timing-sensitive).
+``REPRO_BENCH_QUICK=1`` shrinks the workloads (identity assertions
+stay exact — they are not timing-sensitive).
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_plan import bst_workload, stlc_workload
-from benchmarks.legacy import exec_core_pr3
-from repro.derive import exec_core
-from repro.derive.codegen import compile_checker
-from repro.derive.plan import lower_schedule
+from benchmarks.pairs import ab_pairs, bst_workload, stlc_workload
+from repro.derive import Mode
+from repro.derive.instances import CHECKER, resolve
 from repro.observe import observe
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-ROUNDS = 2 if QUICK else 8
-REPEATS = 3 if QUICK else 7
-
-# Quick mode is a smoke test on shared CI runners; the real bar is the
-# ISSUE's acceptance criterion.
-OVERHEAD_BAR = 2.0 if QUICK else 1.05
-
-
-def _interleaved(fn_a, fn_b, repeats: int = REPEATS) -> tuple[float, float, float]:
-    """Best-of-N for two loops, alternating A/B each round so clock
-    drift and cache warmth hit both sides equally.
-
-    Returns ``(best_a, best_b, best_ratio)`` where ``best_ratio`` is
-    the *minimum per-round* ``b/a`` — the bar statistic.  A real
-    overhead shows in every round; scheduler noise only in some, so
-    the per-round minimum converges on the true ratio where a ratio of
-    independent bests keeps the noise of both sides.
-    """
-    best_a = best_b = best_ratio = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        t_a = time.perf_counter() - start
-        start = time.perf_counter()
-        fn_b()
-        t_b = time.perf_counter() - start
-        best_a = min(best_a, t_a)
-        best_b = min(best_b, t_b)
-        best_ratio = min(best_ratio, t_b / t_a)
-    return best_a, best_b, best_ratio
-
-
-def _rounds_for(wl) -> int:
-    """Scale rounds so every measured loop runs tens of milliseconds —
-    a 5% bar is unreadable on a 2 ms loop (timer noise alone is
-    several percent there)."""
-    return ROUNDS * (12 if "STLC" in wl.name else 1)
-
-
-def _checker_loop(wl, run_checker):
-    """A closed loop driving *run_checker* (live or frozen executor)
-    over the workload's input pool — same Plan object for both."""
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    ctx, fuel, pool = wl.ctx, wl.fuel, wl.args_pool
-    rounds = _rounds_for(wl)
-
-    def loop():
-        for _ in range(rounds):
-            for args in pool:
-                run_checker(ctx, plans, plan, fuel, fuel, args)
-
-    return loop
-
-
-def _checker_answers(wl, run_checker):
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    return [
-        run_checker(wl.ctx, plans, plan, wl.fuel, wl.fuel, args)
-        for args in wl.args_pool
-    ]
-
-
-# -- measurements ------------------------------------------------------------
-
-
-def bench_off_overhead(wl):
-    """Live executor (hooks present, observation off) vs frozen PR 3
-    executor on the same plan and pool."""
-    assert _checker_answers(wl, exec_core_pr3.run_checker) == _checker_answers(
-        wl, exec_core.run_checker
-    )
-    base = _checker_loop(wl, exec_core_pr3.run_checker)
-    live = _checker_loop(wl, exec_core.run_checker)
-    base()  # warm caches (instance resolution, plan lowering)
-    live()
-    return _interleaved(base, live)
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def bench_on_cost(wl):
-    """The live executor with observation off vs on (reported)."""
-    live = _checker_loop(wl, exec_core.run_checker)
-    live()
-    t_off = _best_of(live, max(2, REPEATS // 2))
-    with observe(wl.ctx):
-        t_on = _best_of(live, max(2, REPEATS // 2))
-    return t_off, t_on
+    """The compiled checker with observation off (A) vs on (B).  Each
+    observed run opens its own observation, so spans do not pile up
+    across pairs."""
+    ctx = wl.make_ctx()
+    check = wl.checker(ctx)
+
+    def observed():
+        with observe(ctx):
+            wl.loop(check)
+
+    return ab_pairs(lambda: wl.loop(check), observed)
 
 
-def spans_and_coverage(wl, check, n_inputs: int = 10):
+def spans_and_coverage(wl, ctx, check, n_inputs: int = 10):
     """Run *check* over a pool prefix under observation; return the
     timing-stripped span identities and the coverage table."""
-    with observe(wl.ctx) as obs:
+    with observe(ctx) as obs:
         for args in wl.args_pool[:n_inputs]:
             check(wl.fuel, args)
     return obs.spans.identities(), obs.coverage().table
@@ -158,30 +68,17 @@ def spans_and_coverage(wl, check, n_inputs: int = 10):
 
 def backend_identity(wl, n_inputs: int = 10):
     """Interp vs compiled: identical span trees and coverage."""
-    from repro.derive.interp_checker import DerivedChecker
-
-    compiled = compile_checker(wl.ctx, wl.schedule)
-    interp = DerivedChecker(wl.ctx, wl.schedule)
-    ids_c, cov_c = spans_and_coverage(wl, compiled, n_inputs)
-    ids_i, cov_i = spans_and_coverage(wl, interp.check, n_inputs)
-    return (ids_i, cov_i), (ids_c, cov_c)
+    ctx = wl.make_ctx()
+    compiled = wl.checker(ctx)
+    arity = ctx.relations.get(wl.rel).arity
+    interp = resolve(ctx, CHECKER, wl.rel, Mode.checker(arity)).fn
+    return (
+        spans_and_coverage(wl, ctx, interp, n_inputs),
+        spans_and_coverage(wl, ctx, compiled, n_inputs),
+    )
 
 
 # -- pytest entry points -----------------------------------------------------
-
-
-def test_observe_off_overhead_bst():
-    _, _, ratio = bench_off_overhead(bst_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"observation-off overhead {ratio:.3f}x on BST (bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_observe_off_overhead_stlc():
-    _, _, ratio = bench_off_overhead(stlc_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"observation-off overhead {ratio:.3f}x on STLC (bar {OVERHEAD_BAR}x)"
-    )
 
 
 def test_spans_and_coverage_backend_identical_bst():
@@ -198,69 +95,30 @@ def test_spans_and_coverage_backend_identical_stlc():
     assert cov_i == cov_c
 
 
-def test_gen_spans_backend_identical():
-    from benchmarks.bench_plan import PlanGenerator, build_schedule
-    from repro.casestudies import stlc
-    from repro.core.values import V, from_list
-    from repro.derive import Mode
-    from repro.derive.codegen import compile_generator
-
-    ctx = stlc.make_context()
-    schedule = build_schedule(ctx, "typing", Mode.from_string("ioi"))
-    interp = PlanGenerator(ctx, schedule)
-    compiled = compile_generator(ctx, schedule)
-    env, ty = from_list([]), V("N")
-
-    def run(gen_st):
-        with observe(ctx) as obs:
-            for seed in range(10):
-                gen_st(6, (env, ty), random.Random(seed))
-        return obs.spans.identities(), obs.coverage().table
-
-    ids_i, cov_i = run(interp.gen_st)
-    ids_c, cov_c = run(compiled)
-    assert ids_i and ids_i == ids_c
-    assert cov_i == cov_c
-
-
 # -- standalone --------------------------------------------------------------
 
 
 if __name__ == "__main__":
     from benchmarks.benchjson import emit, record
 
-    worst = 0.0
     for wl_fn in (bst_workload, stlc_workload):
         wl = wl_fn()
-        t_base, t_live, ratio = bench_off_overhead(wl)
-        record("observe", f"off_overhead.{wl.name}", ratio)
-        worst = max(worst, ratio)
+        pairs = bench_on_cost(wl)
+        record("observe", f"on_cost_ratio.{wl.name}", pairs.ratio)
         print(
-            f"[bench_observe] off-overhead {wl.name:12s}"
-            f" frozen {t_base * 1e3:8.1f} ms   live {t_live * 1e3:8.1f} ms"
-            f"   ratio {ratio:5.3f}x (bar {OVERHEAD_BAR}x)"
+            f"[bench_observe] {pairs.row(f'on-cost {wl.name}', 'off', 'on')}"
+            "   (reported only)"
         )
-        t_off, t_on = bench_on_cost(wl_fn())
-        record("observe", f"on_cost_ratio.{wl.name}", t_on / t_off)
-        print(
-            f"[bench_observe] on-cost      {wl.name:12s}"
-            f" off {t_off * 1e3:8.1f} ms   on {t_on * 1e3:8.1f} ms"
-            f"   ({t_on / t_off:5.2f}x, reported only)"
-        )
+    ok = True
     for wl_fn in (bst_workload, stlc_workload):
         wl = wl_fn()
         (ids_i, cov_i), (ids_c, cov_c) = backend_identity(wl)
-        same = ids_i == ids_c and cov_i == cov_c
+        same = bool(ids_i) and ids_i == ids_c and cov_i == cov_c
+        record("observe", f"identity.{wl.name}", same)
         print(
-            f"[bench_observe] identity     {wl.name:12s}"
+            f"[bench_observe] identity {wl.name:12s}"
             f" {len(ids_i)} spans   interp==compiled: {same}"
         )
-        assert same
-    print(
-        f"\n[bench_observe] worst observation-off ratio {worst:.3f}x"
-        f" (bar {OVERHEAD_BAR}x)"
-    )
-    record("observe", "worst_off_overhead", worst)
-    record("observe", "overhead_bar", OVERHEAD_BAR)
+        ok = ok and same
     emit("observe")
-    raise SystemExit(0 if worst <= OVERHEAD_BAR else 1)
+    raise SystemExit(0 if ok else 1)

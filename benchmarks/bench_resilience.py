@@ -1,24 +1,21 @@
-"""Resource-governance benchmark: the budgets-off zero-overhead guard.
+"""Resource-governance benchmark: what an installed budget costs, and
+how fast a deadline trip unwinds.
 
-The budget hooks added to ``derive/exec_core.py`` and the compiled
-twins cost one ``caches.get('derive_budget')`` probe per fixpoint
-level (plus a predicated branch per charge site) when no budget is
-installed.  This bench holds that to **noise**:
-
-* **budgets-off overhead** — the live executors vs the frozen PR 4
-  executors (``benchmarks/legacy/exec_core_pr4.py`` and
-  ``codegen_pr4.py``, verbatim copies from before the hooks landed)
-  on the Figure 3 BST/STLC checker workloads, the ``le`` enumerator
-  stream, and the STLC generator; acceptance bar **<= 1.05x** on each
-  hot path.  Timings are interleaved best-of-N (base/live alternating)
-  so scheduler drift hits both sides equally.
-* **budgets-on cost** — reported, not barred: an installed unlimited
-  budget pays one counter increment and compare per charge site — the
+* **budget-on cost** — reported, not barred: the compiled STLC typing
+  checker with no budget vs an installed unlimited budget, timed under
+  the alternating-pairs rule of :mod:`benchmarks.pairs`.  With a
+  budget installed the entry wrappers select the instrumented twins,
+  which pay one counter increment and compare per charge site — the
   price of cooperative cancellation, not a regression.
-* **trip latency** — reported: how fast a deadline trip unwinds a
-  deliberately exponential search (the cancellation-responsiveness
-  story; a trip must cost milliseconds, not the search's natural
-  runtime).
+* **trip latency** — reported and loosely barred: how fast a deadline
+  trip unwinds a deliberately exponential search through the compiled
+  enumerator (the cancellation-responsiveness story; a trip must cost
+  milliseconds, not the search's natural runtime).
+
+That budgets cost nothing when none is installed is checked exactly,
+not timed: with no hook installed the entry wrappers select the fast
+twins, which spell no charge site
+(``tests/derive/test_codegen.py::TestFastTwinsCarryNoHooks``).
 
 Run standalone (prints the table)::
 
@@ -28,37 +25,23 @@ or under pytest (asserts the bars)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_resilience.py -s
 
-``REPRO_BENCH_QUICK=1`` shrinks workloads and relaxes the timing bars
-(the CI smoke mode — shared runners make tight bars flaky).
+``REPRO_BENCH_QUICK=1`` shrinks the workloads.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_plan import bst_workload, stlc_workload
-from benchmarks.legacy import codegen_pr4, exec_core_pr4
+from benchmarks.pairs import ab_pairs, stlc_workload
 from repro.core import parse_declarations
-from repro.derive import Mode, build_schedule, disable_functionalization, exec_core
-from repro.derive import codegen
-from repro.derive.plan import lower_schedule
+from repro.derive import Mode
+from repro.derive.instances import ENUM, resolve_compiled
 from repro.resilience import Budget, budget_scope, install_budget, remove_budget
 from repro.stdlib import standard_context
-
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-ROUNDS = 2 if QUICK else 8
-REPEATS = 3 if QUICK else 7
-GEN_SAMPLES = 30 if QUICK else 300
-
-# Quick mode is a smoke test on shared CI runners; the real bar is the
-# ISSUE's acceptance criterion.
-OVERHEAD_BAR = 2.0 if QUICK else 1.05
 
 LE_DECL = """
 Inductive le : nat -> nat -> Prop :=
@@ -67,174 +50,33 @@ Inductive le : nat -> nat -> Prop :=
 """
 
 
-def _interleaved(fn_a, fn_b, repeats: int = REPEATS):
-    """Best-of-N for two loops, alternating A/B each round; returns
-    ``(best_a, best_b, best_ratio)`` with the minimum per-round
-    ``b/a`` as the bar statistic (see bench_observe for rationale)."""
-    best_a = best_b = best_ratio = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        t_a = time.perf_counter() - start
-        start = time.perf_counter()
-        fn_b()
-        t_b = time.perf_counter() - start
-        best_a = min(best_a, t_a)
-        best_b = min(best_b, t_b)
-        best_ratio = min(best_ratio, t_b / t_a)
-    return best_a, best_b, best_ratio
-
-
-def _rounds_for(wl) -> int:
-    return ROUNDS * (12 if "STLC" in wl.name else 1)
-
-
-# -- workloads ---------------------------------------------------------------
-
-
-def _checker_loop(wl, run_checker):
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    ctx, fuel, pool = wl.ctx, wl.fuel, wl.args_pool
-    rounds = _rounds_for(wl)
-
-    def loop():
-        for _ in range(rounds):
-            for args in pool:
-                run_checker(ctx, plans, plan, fuel, fuel, args)
-
-    return loop
-
-
-def _checker_answers(wl, run_checker):
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    return [
-        run_checker(wl.ctx, plans, plan, wl.fuel, wl.fuel, args)
-        for args in wl.args_pool
-    ]
-
-
-def _le_ctx():
-    ctx = standard_context()
-    parse_declarations(ctx, LE_DECL)
-    return ctx
-
-
-def _enum_loop(ctx, run_enum, fuel=7, rounds=None):
-    schedule = build_schedule(ctx, "le", Mode.from_string("oo"))
-    plan = lower_schedule(ctx, schedule)
-    rounds = (ROUNDS * 4) if rounds is None else rounds
-
-    def loop():
-        for _ in range(rounds):
-            for _pair in run_enum(ctx, plan, fuel, fuel, ()):
-                pass
-
-    return loop
-
-
-def _gen_loop(ctx, schedule, run_gen, ins):
-    plan = lower_schedule(ctx, schedule)
-
-    def loop():
-        rng = random.Random(3)
-        for _ in range(GEN_SAMPLES):
-            run_gen(ctx, plan, 6, 6, ins, rng)
-
-    return loop
-
-
-# -- measurements ------------------------------------------------------------
-
-
-def bench_checker_off_overhead(wl):
-    """Live interpreter (budget hooks present, no budget installed)
-    vs frozen PR 4 interpreter, same Plan, same pool."""
-    assert _checker_answers(wl, exec_core_pr4.run_checker) == _checker_answers(
-        wl, exec_core.run_checker
-    )
-    base = _checker_loop(wl, exec_core_pr4.run_checker)
-    live = _checker_loop(wl, exec_core.run_checker)
-    base()  # warm caches (instance resolution, plan lowering)
-    live()
-    return _interleaved(base, live)
-
-
-def bench_compiled_off_overhead(wl):
-    """Live compiled checker vs the PR 4 code generator's output."""
-    base_fn = codegen_pr4.compile_checker(wl.ctx, wl.schedule)
-    live_fn = codegen.compile_checker(wl.ctx, wl.schedule)
-    assert wl.answers(base_fn) == wl.answers(live_fn)
-    base = lambda: wl.loop(base_fn)  # noqa: E731
-    live = lambda: wl.loop(live_fn)  # noqa: E731
-    base()
-    live()
-    return _interleaved(base, live)
-
-
-def bench_enum_off_overhead():
-    ctx = _le_ctx()
-    base = _enum_loop(ctx, exec_core_pr4.run_enum)
-    live = _enum_loop(ctx, exec_core.run_enum)
-    assert list(exec_core_pr4.run_enum(
-        ctx, lower_schedule(ctx, build_schedule(ctx, "le", Mode.from_string("oo"))),
-        5, 5, (),
-    )) == list(exec_core.run_enum(
-        ctx, lower_schedule(ctx, build_schedule(ctx, "le", Mode.from_string("oo"))),
-        5, 5, (),
-    ))
-    base()
-    live()
-    return _interleaved(base, live)
-
-
-def bench_gen_off_overhead():
-    from repro.casestudies import stlc
-    from repro.core.values import V, from_list
-
-    ctx = stlc.make_context()
-    # The frozen PR-4 generator predates OP_EVALREL; run the shared
-    # plan pass-off so both sides execute the same op set.
-    disable_functionalization(ctx)
-    schedule = build_schedule(ctx, "typing", Mode.from_string("ioi"))
-    ins = (from_list([]), V("N"))
-    base = _gen_loop(ctx, schedule, exec_core_pr4.run_gen, ins)
-    live = _gen_loop(ctx, schedule, exec_core.run_gen, ins)
-    base()
-    live()
-    return _interleaved(base, live)
-
-
 def bench_budget_on_cost(wl):
-    """The live interpreter with no budget vs an installed unlimited
-    budget (reported, not barred)."""
-    live = _checker_loop(wl, exec_core.run_checker)
-    live()
-    t_off = min(_interleaved(live, live, max(2, REPEATS // 2))[:2])
-    install_budget(wl.ctx, Budget())
-    try:
-        start = time.perf_counter()
-        live()
-        t_on = time.perf_counter() - start
-    finally:
-        remove_budget(wl.ctx)
-    return t_off, t_on
+    """The compiled checker with no budget (A) vs an installed
+    unlimited budget (B)."""
+    ctx = wl.make_ctx()
+    check = wl.checker(ctx)
+
+    def budgeted():
+        install_budget(ctx, Budget())
+        try:
+            wl.loop(check)
+        finally:
+            remove_budget(ctx)
+
+    return ab_pairs(lambda: wl.loop(check), budgeted)
 
 
 def bench_trip_latency():
     """Wall-clock to cut off a search that would otherwise run far
-    past the deadline: the responsiveness of cooperative cancellation.
-    Draining ``le[oo]`` at fuel 600 yields ~180k pairs (seconds of
-    work); the deadline truncates the stream in milliseconds."""
-    ctx = _le_ctx()
-    schedule = build_schedule(ctx, "le", Mode.from_string("oo"))
-    plan = lower_schedule(ctx, schedule)
-    fuel = 600
+    past the deadline: draining ``le[oo]`` at fuel 600 is exponential
+    work; the deadline truncates the stream in milliseconds."""
+    ctx = standard_context()
+    parse_declarations(ctx, LE_DECL)
+    enum = resolve_compiled(ctx, ENUM, "le", Mode.from_string("oo"))
     deadline = 0.02
     with budget_scope(ctx, deadline_seconds=deadline, check_every=64) as bud:
         start = time.perf_counter()
-        for _pair in exec_core.run_enum(ctx, plan, fuel, fuel, ()):
+        for _pair in enum(600, ()):
             pass
         elapsed = time.perf_counter() - start
     return deadline, elapsed, bud.exhausted
@@ -243,108 +85,50 @@ def bench_trip_latency():
 # -- reporting / acceptance --------------------------------------------------
 
 
-def _row(label, t_base, t_live, ratio):
-    print(
-        f"[bench_resilience] {label:26s} pr4 {t_base * 1e3:9.1f} ms"
-        f"   live {t_live * 1e3:9.1f} ms   overhead {ratio:5.3f}x"
-    )
-
-
 def run_all(verbose: bool = True):
-    results = {}
-    for wl_fn in (bst_workload, stlc_workload):
-        wl = wl_fn()
-        t_b, t_l, r = bench_checker_off_overhead(wl)
-        results[f"interp {wl.name}"] = r
-        if verbose:
-            _row(f"interp  {wl.name}", t_b, t_l, r)
-        t_b, t_l, r = bench_compiled_off_overhead(wl_fn())
-        results[f"compiled {wl.name}"] = r
-        if verbose:
-            _row(f"compiled {wl.name}", t_b, t_l, r)
-    t_b, t_l, r = bench_enum_off_overhead()
-    results["enum le[oo]"] = r
-    if verbose:
-        _row("enum    le[oo]", t_b, t_l, r)
-    t_b, t_l, r = bench_gen_off_overhead()
-    results["gen STLC[ioi]"] = r
-    if verbose:
-        _row("gen     STLC typing[ioi]", t_b, t_l, r)
-    t_off, t_on = bench_budget_on_cost(stlc_workload())
-    if verbose:
-        print(
-            f"[bench_resilience] budget-on cost: off {t_off * 1e3:.1f} ms"
-            f"   on {t_on * 1e3:.1f} ms   (+{(t_on / t_off - 1) * 100:.1f}%)"
-        )
+    pairs = bench_budget_on_cost(stlc_workload())
     deadline, elapsed, exhausted = bench_trip_latency()
     if verbose:
+        print(
+            f"[bench_resilience] "
+            f"{pairs.row('budget-on cost STLC typing', 'off', 'on')}"
+            "   (reported only)"
+        )
         print(
             f"[bench_resilience] trip latency: deadline {deadline * 1e3:.0f} ms"
             f"   unwound in {elapsed * 1e3:.1f} ms"
             f"   ({exhausted.limit if exhausted else 'no trip!'})"
         )
-    return results
+    return pairs, deadline, elapsed, exhausted
+
+
+def _trip_ok(deadline, elapsed, exhausted) -> bool:
+    # Generous absolute bound: the point is "milliseconds, not the
+    # search's natural runtime", not a tight timing bar.
+    return (
+        exhausted is not None
+        and exhausted.limit == "deadline"
+        and elapsed < deadline + 1.0
+    )
 
 
 # -- pytest entry points -----------------------------------------------------
 
 
-def test_budgets_off_overhead_interp_bst():
-    _, _, ratio = bench_checker_off_overhead(bst_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"budgets-off overhead {ratio:.3f}x on BST interp "
-        f"(bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_budgets_off_overhead_interp_stlc():
-    _, _, ratio = bench_checker_off_overhead(stlc_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"budgets-off overhead {ratio:.3f}x on STLC interp "
-        f"(bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_budgets_off_overhead_compiled_stlc():
-    _, _, ratio = bench_compiled_off_overhead(stlc_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"budgets-off overhead {ratio:.3f}x on STLC compiled "
-        f"(bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_budgets_off_overhead_enum():
-    _, _, ratio = bench_enum_off_overhead()
-    assert ratio <= OVERHEAD_BAR, (
-        f"budgets-off overhead {ratio:.3f}x on le[oo] enum "
-        f"(bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_budgets_off_overhead_gen():
-    _, _, ratio = bench_gen_off_overhead()
-    assert ratio <= OVERHEAD_BAR, (
-        f"budgets-off overhead {ratio:.3f}x on STLC gen "
-        f"(bar {OVERHEAD_BAR}x)"
-    )
-
-
 def test_trip_unwinds_promptly():
-    deadline, elapsed, exhausted = bench_trip_latency()
-    assert exhausted is not None and exhausted.limit == "deadline"
-    # Generous absolute bound: the point is "milliseconds, not the
-    # search's natural runtime", not a tight timing bar.
-    assert elapsed < deadline + 1.0
+    assert _trip_ok(*bench_trip_latency())
 
 
 if __name__ == "__main__":
     from benchmarks.benchjson import emit
 
-    results = run_all()
-    worst = max(results.values())
-    print(f"[bench_resilience] worst budgets-off overhead: {worst:.3f}x")
+    pairs, deadline, elapsed, exhausted = run_all()
+    ok = _trip_ok(deadline, elapsed, exhausted)
     emit("resilience", {
-        "overheads": results, "worst_overhead": worst,
-        "overhead_bar": OVERHEAD_BAR,
+        "budget_on_cost": {"off_s": pairs.a, "on_s": pairs.b,
+                           "ratio": pairs.ratio},
+        "trip_deadline_s": deadline,
+        "trip_elapsed_s": elapsed,
+        "trip_ok": ok,
     })
-    sys.exit(0 if worst <= OVERHEAD_BAR else 1)
+    sys.exit(0 if ok else 1)

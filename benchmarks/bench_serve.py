@@ -1,7 +1,4 @@
-"""Serving-layer benchmark: campaign speedup, engine throughput, and
-the session-routing zero-overhead guard.
-
-Three measurements cap the derivation-as-a-service PR:
+"""Serving-layer benchmark: campaign speedup and engine throughput.
 
 * **campaign speedup** — ``parallel_quick_check`` with the ``fork``
   backend vs the ``inline`` sequential reference on the *same shard
@@ -15,14 +12,15 @@ Three measurements cap the derivation-as-a-service PR:
   check workload: queries/second plus p50/p99 per-query service time,
   in three configurations (sequential worker, sharded workers, batched
   dispatch through ``check_batch``), and once more under per-query op
-  budgets to show give-ups are structured and cheap.
-* **session overhead** — the session-scoped executors (``ctx.caches``
-  now a per-session property, derive lock in ``resolve``) vs the
-  frozen PR 7 executors (``benchmarks/legacy/exec_core_pr7.py`` and
-  ``codegen_pr7.py``, verbatim pre-refactor copies) on the Figure 3
-  checker workloads, the ``le`` enumerator stream, and the STLC
-  generator; acceptance bar **<= 1.05x** per hot path, interleaved
-  best-of-N (see bench_resilience for the harness rationale).
+  budgets to show give-ups are structured and cheap.  Reported; the
+  answers of the three configurations must agree.
+
+That session routing costs nothing on the hot path is checked
+exactly, not timed: the fast twins the entry wrappers select with no
+hook installed never read the session caches
+(``tests/derive/test_codegen.py::TestFastTwinsCarryNoHooks``).  The
+engine's end-to-end speed is the benchmark suite's ``serve_batch``
+and ``serve_serial`` workloads.
 
 Run standalone (prints the table)::
 
@@ -45,13 +43,9 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_plan import bst_workload, stlc_workload
-from benchmarks.legacy import codegen_pr7, exec_core_pr7
 from repro.core import parse_declarations
 from repro.core.values import Value
-from repro.derive import Mode, build_schedule, exec_core
-from repro.derive import codegen
-from repro.derive.plan import lower_schedule
+from repro.derive import Mode
 from repro.quickchick import classify, for_all
 from repro.resilience import parallel_quick_check
 from repro.serve import CheckQuery, Engine
@@ -59,15 +53,10 @@ from repro.stdlib import standard_context
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
-ROUNDS = 2 if QUICK else 8
-REPEATS = 3 if QUICK else 7
-GEN_SAMPLES = 30 if QUICK else 300
 CAMPAIGN_TESTS = 200 if QUICK else 2000
 ENGINE_QUERIES = 80 if QUICK else 400
 
-# Quick mode is a smoke test on shared CI runners; the real bars are
-# the ISSUE's acceptance criteria.
-OVERHEAD_BAR = 2.0 if QUICK else 1.05
+# Quick mode is a smoke test on shared CI runners.
 SPEEDUP_BAR = 1.3 if QUICK else 2.0
 
 LE_DECL = """
@@ -92,24 +81,6 @@ def _corpus_ctx():
     ctx = standard_context()
     parse_declarations(ctx, LE_DECL)
     return ctx
-
-
-def _interleaved(fn_a, fn_b, repeats: int = REPEATS):
-    """Best-of-N for two loops, alternating A/B each round; returns
-    ``(best_a, best_b, best_ratio)`` with the minimum per-round
-    ``b/a`` as the bar statistic (see bench_observe for rationale)."""
-    best_a = best_b = best_ratio = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        t_a = time.perf_counter() - start
-        start = time.perf_counter()
-        fn_b()
-        t_b = time.perf_counter() - start
-        best_a = min(best_a, t_a)
-        best_b = min(best_b, t_b)
-        best_ratio = min(best_ratio, t_b / t_a)
-    return best_a, best_b, best_ratio
 
 
 # -- campaign speedup --------------------------------------------------------
@@ -244,141 +215,10 @@ def bench_engine_throughput():
     return rows
 
 
-# -- session overhead vs frozen PR 7 -----------------------------------------
-
-
-def _rounds_for(wl) -> int:
-    return ROUNDS * (12 if "STLC" in wl.name else 1)
-
-
-def _checker_loop(wl, run_checker):
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    ctx, fuel, pool = wl.ctx, wl.fuel, wl.args_pool
-    rounds = _rounds_for(wl)
-
-    def loop():
-        for _ in range(rounds):
-            for args in pool:
-                run_checker(ctx, plans, plan, fuel, fuel, args)
-
-    return loop
-
-
-def _checker_answers(wl, run_checker):
-    plan = lower_schedule(wl.ctx, wl.schedule)
-    plans = {plan.rel: plan}
-    return [
-        run_checker(wl.ctx, plans, plan, wl.fuel, wl.fuel, args)
-        for args in wl.args_pool
-    ]
-
-
-def bench_interp_overhead(wl):
-    """Session-routed interpreter (``ctx.caches`` property per level)
-    vs the frozen PR 7 interpreter, same Plan, same pool."""
-    assert _checker_answers(wl, exec_core_pr7.run_checker) == _checker_answers(
-        wl, exec_core.run_checker
-    )
-    base = _checker_loop(wl, exec_core_pr7.run_checker)
-    live = _checker_loop(wl, exec_core.run_checker)
-    base()  # warm caches (instance resolution, plan lowering)
-    live()
-    return _interleaved(base, live)
-
-
-def bench_compiled_overhead(wl):
-    """Live compiled checker (module global ``_ctx``, caches fetched
-    per level) vs the PR 7 code generator's output (baked dict)."""
-    base_fn = codegen_pr7.compile_checker(wl.ctx, wl.schedule)
-    live_fn = codegen.compile_checker(wl.ctx, wl.schedule)
-    assert wl.answers(base_fn) == wl.answers(live_fn)
-    base = lambda: wl.loop(base_fn)  # noqa: E731
-    live = lambda: wl.loop(live_fn)  # noqa: E731
-    base()
-    live()
-    return _interleaved(base, live)
-
-
-def bench_enum_overhead():
-    ctx = _corpus_ctx()
-    schedule = build_schedule(ctx, "le", Mode.from_string("oo"))
-    plan = lower_schedule(ctx, schedule)
-    assert list(exec_core_pr7.run_enum(ctx, plan, 5, 5, ())) == list(
-        exec_core.run_enum(ctx, plan, 5, 5, ())
-    )
-    rounds = ROUNDS * 4
-
-    def base():
-        for _ in range(rounds):
-            for _pair in exec_core_pr7.run_enum(ctx, plan, 7, 7, ()):
-                pass
-
-    def live():
-        for _ in range(rounds):
-            for _pair in exec_core.run_enum(ctx, plan, 7, 7, ()):
-                pass
-
-    base()
-    live()
-    return _interleaved(base, live)
-
-
-def bench_gen_overhead():
-    from repro.casestudies import stlc
-    from repro.core.values import V, from_list
-
-    ctx = stlc.make_context()
-    schedule = build_schedule(ctx, "typing", Mode.from_string("ioi"))
-    plan = lower_schedule(ctx, schedule)
-    ins = (from_list([]), V("N"))
-
-    def base():
-        rng = random.Random(3)
-        for _ in range(GEN_SAMPLES):
-            exec_core_pr7.run_gen(ctx, plan, 6, 6, ins, rng)
-
-    def live():
-        rng = random.Random(3)
-        for _ in range(GEN_SAMPLES):
-            exec_core.run_gen(ctx, plan, 6, 6, ins, rng)
-
-    base()
-    live()
-    return _interleaved(base, live)
-
-
 # -- reporting / acceptance --------------------------------------------------
 
 
-def _row(label, t_base, t_live, ratio):
-    print(
-        f"[bench_serve] {label:26s} pr7 {t_base * 1e3:9.1f} ms"
-        f"   live {t_live * 1e3:9.1f} ms   overhead {ratio:5.3f}x"
-    )
-
-
 def run_all(verbose: bool = True):
-    overheads = {}
-    for wl_fn in (bst_workload, stlc_workload):
-        wl = wl_fn()
-        t_b, t_l, r = bench_interp_overhead(wl)
-        overheads[f"interp {wl.name}"] = r
-        if verbose:
-            _row(f"interp  {wl.name}", t_b, t_l, r)
-        t_b, t_l, r = bench_compiled_overhead(wl_fn())
-        overheads[f"compiled {wl.name}"] = r
-        if verbose:
-            _row(f"compiled {wl.name}", t_b, t_l, r)
-    t_b, t_l, r = bench_enum_overhead()
-    overheads["enum le[oo]"] = r
-    if verbose:
-        _row("enum    le[oo]", t_b, t_l, r)
-    t_b, t_l, r = bench_gen_overhead()
-    overheads["gen STLC[ioi]"] = r
-    if verbose:
-        _row("gen     STLC typing[ioi]", t_b, t_l, r)
-
     t_seq, t_par, rep_s, rep_p = bench_campaign_speedup()
     speedup = t_seq / t_par if t_par else float("inf")
     merged_equal = _report_key(rep_s) == _report_key(rep_p)
@@ -400,45 +240,10 @@ def run_all(verbose: bool = True):
                 f"   ok/gave_up/err {row['ok']}/{row['gave_up']}"
                 f"/{row['errors']}   batched {row['batched']}"
             )
-    return overheads, speedup, merged_equal, engine
+    return speedup, merged_equal, engine
 
 
 # -- pytest entry points -----------------------------------------------------
-
-
-def test_session_overhead_interp_bst():
-    _, _, ratio = bench_interp_overhead(bst_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"session overhead {ratio:.3f}x on BST interp (bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_session_overhead_interp_stlc():
-    _, _, ratio = bench_interp_overhead(stlc_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"session overhead {ratio:.3f}x on STLC interp (bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_session_overhead_compiled_stlc():
-    _, _, ratio = bench_compiled_overhead(stlc_workload())
-    assert ratio <= OVERHEAD_BAR, (
-        f"session overhead {ratio:.3f}x on STLC compiled (bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_session_overhead_enum():
-    _, _, ratio = bench_enum_overhead()
-    assert ratio <= OVERHEAD_BAR, (
-        f"session overhead {ratio:.3f}x on le[oo] enum (bar {OVERHEAD_BAR}x)"
-    )
-
-
-def test_session_overhead_gen():
-    _, _, ratio = bench_gen_overhead()
-    assert ratio <= OVERHEAD_BAR, (
-        f"session overhead {ratio:.3f}x on STLC gen (bar {OVERHEAD_BAR}x)"
-    )
 
 
 def test_campaign_merge_equals_sequential():
@@ -488,13 +293,8 @@ def test_engine_serves_workload():
 if __name__ == "__main__":
     from benchmarks.benchjson import emit
 
-    overheads, speedup, merged_equal, _engine = run_all()
-    worst = max(overheads.values())
-    print(f"[bench_serve] worst session overhead: {worst:.3f}x")
+    speedup, merged_equal, _engine = run_all()
     emit("serve", {
-        "session_overhead": overheads,
-        "worst_session_overhead": worst,
-        "overhead_bar": OVERHEAD_BAR,
         "campaign_speedup": speedup,
         "merged_equals_sequential": merged_equal,
         "engine": {
@@ -502,7 +302,7 @@ if __name__ == "__main__":
             for name, row in _engine.items()
         },
     })
-    ok = worst <= OVERHEAD_BAR and merged_equal
+    ok = merged_equal
     if (os.cpu_count() or 1) >= 4:
         ok = ok and speedup >= SPEEDUP_BAR
     sys.exit(0 if ok else 1)

@@ -1,30 +1,27 @@
-"""Specialization benchmark: the Figure-3-gap guard.
+"""Specialization and functionalization benchmark: the two passes'
+in-tree A/B bars, plus the Figure 3 checker deltas.
 
-Measures the term-representation specialization pass
-(:mod:`repro.derive.specialize` + the twin emission in
-``repro.derive.codegen``) three ways:
+Each bar runs the live code generator with a pass on and off (fresh
+contexts, identical schedules and input pools) under the alternating-
+pairs rule of :mod:`benchmarks.pairs`, and judges the median per-pair
+ratio:
 
-* **specialized vs boxed-only** — the live code generator with the
-  pass on vs off (fresh contexts, identical schedules) on the BST
-  nat-heavy checker workload; acceptance bar: specialization is
-  **>= 2x** on BST (``lt`` premises collapse from Peano walks to int
-  arithmetic).  STLC is reported unbarred — its cost sits in the
-  typing *enumerator* (see EXPERIMENTS.md), which the checker pass
-  does not touch.
-* **no-regression guard** — the live emitter with specialization
-  *disabled* vs the frozen pre-specialization emitter
-  (``benchmarks/legacy/codegen_pr5.py``); bar: **<= 1.05x** (the
-  twin machinery must cost nothing when off).
-* **functionalization vs PR 6** — the live emitter with the
-  determinacy-driven functionalization + inlining pass *on* vs the
-  frozen pre-pass emitter (``benchmarks/legacy/codegen_pr6.py``) on
-  the STLC typing checker, where the TApp premise collapses from
-  enumerate-then-check to direct type inference; bar: **>= 1.5x**.
-  Plus the mirror-image no-regression guard: pass *off* (both
-  contexts) vs the frozen PR-6 emitter, **<= 1.05x**.
+* **specialization on vs off** on the BST nat-heavy checker workload;
+  acceptance bar **>= 2x** (``lt`` premises collapse from Peano walks
+  to int arithmetic).
+* **functionalization on vs off** on the STLC typing checker, where the
+  TApp premise collapses from enumerate-then-check to direct type
+  inference; acceptance bar **>= 1.5x**.
 * **Figure 3 deltas** — derived vs handwritten checker throughput per
   case study (BST / STLC / IFC), printed for the EXPERIMENTS.md
   table; reported, not barred (the residual gaps are analyzed there).
+
+That a switched-off pass costs nothing is checked exactly, not timed:
+with specialization off no twin is compiled
+(``tests/derive/test_specialize.py::TestSpecializationFlag``), and
+with functionalization off nothing is spliced and no eval twin exists
+(``tests/derive/test_backend_diff.py::TestSplicing``,
+``tests/derive/test_codegen.py::TestEvalTwin``).
 
 Run standalone (prints the table)::
 
@@ -42,204 +39,53 @@ bars flaky).
 from __future__ import annotations
 
 import os
-import random
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.legacy.codegen_pr5 import (
-    compile_checker as pr5_compile_checker,
-)
-from benchmarks.legacy.codegen_pr6 import (
-    compile_checker as pr6_compile_checker,
-)
+from benchmarks.pairs import QUICK, ab_pairs, bst_workload, stlc_workload
 from repro.casestudies import bst, ifc, stlc
-from repro.core.values import from_int
-from repro.derive import Mode, build_schedule, disable_functionalization
-from repro.derive.codegen import compile_checker as live_compile_checker
+from repro.derive import Mode, disable_functionalization
 from repro.derive.instances import CHECKER, resolve_compiled
 from repro.derive.specialize import disable_specialization
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-ROUNDS = 2 if QUICK else 8
-POOL = 10 if QUICK else 40
 FIG3_TESTS = 40 if QUICK else 300
-REPEATS = 2 if QUICK else 5
 
 # Quick mode is a smoke test: workloads still run end to end and must
 # agree, but shared CI runners are too noisy for the real bars.
 SPEC_BAR = 1.0 if QUICK else 2.0
-LEGACY_BAR = 3.0 if QUICK else 1.05
 FUNC_BAR = 1.0 if QUICK else 1.5
 
 
-def _timed(fn, repeats: int = REPEATS) -> float:
-    """Best-of-N CPU time (process_time defends against machine noise
-    far better than wall clock on shared hardware)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.process_time()
-        fn()
-        best = min(best, time.process_time() - start)
-    return best
-
-
-def _timed2(fn_a, fn_b, repeats: int = REPEATS) -> tuple[float, float]:
-    """Interleaved best-of-N for a pair of candidates: alternating the
-    measurements each round cancels CPU-frequency drift that would
-    otherwise systematically favour whichever side runs while the
-    clock is ramped up (the same discipline as ``bench_fig3_deltas``)."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.process_time()
-        fn_a()
-        best_a = min(best_a, time.process_time() - start)
-        start = time.process_time()
-        fn_b()
-        best_b = min(best_b, time.process_time() - start)
-    return best_a, best_b
-
-
-# -- workloads ---------------------------------------------------------------
-
-
-def _bst_pool(seed: int = 11):
-    rng = random.Random(seed)
-    lo, hi = from_int(0), from_int(16)
-    pool = []
-    while len(pool) < POOL:
-        out = bst.handwritten_bst_gen(8, (lo, hi), rng)
-        if isinstance(out, tuple):
-            pool.append(out[0])
-    return [(lo, hi, t) for t in pool]
-
-
-class Workload:
-    def __init__(self, name, make_ctx, rel, fuel, args_pool):
-        self.name = name
-        self.make_ctx = make_ctx
-        self.rel = rel
-        self.fuel = fuel
-        self.args_pool = args_pool
-
-    def loop(self, check):
-        fuel = self.fuel
-        for _ in range(ROUNDS):
-            for args in self.args_pool:
-                check(fuel, args)
-
-    def answers(self, check):
-        return [check(self.fuel, args) for args in self.args_pool]
-
-
-def bst_workload() -> Workload:
-    return Workload("BST bst", bst.make_context, "bst", 24, _bst_pool())
-
-
-def _stlc_pool(seed: int = 13):
-    rng = random.Random(seed)
-    env = stlc.StlcWorkload(None).environment()
-    pool = []
-    while len(pool) < POOL:
-        ty = stlc._gen_type(2, rng)
-        out = stlc.handwritten_typing_gen(6, (env, ty), rng)
-        if isinstance(out, tuple):
-            pool.append((env, out[0], ty))
-    return pool
-
-
-def stlc_workload() -> Workload:
-    return Workload(
-        "STLC typing", stlc.make_context, "typing", 24, _stlc_pool()
-    )
-
-
-# -- measurements ------------------------------------------------------------
-
-
-def bench_spec_vs_boxed(wl: Workload):
-    """Live emitter, pass on vs pass off, fresh context each (the flag
-    is read at compile time; dependencies recompile under it too)."""
-    ctx_spec = wl.make_ctx()
-    ctx_plain = wl.make_ctx()
-    disable_specialization(ctx_plain)
-    mode = Mode.checker(ctx_spec.relations.get(wl.rel).arity)
-    spec = resolve_compiled(ctx_spec, CHECKER, wl.rel, mode)
-    plain = resolve_compiled(ctx_plain, CHECKER, wl.rel, mode)
-    assert wl.answers(spec) == wl.answers(plain)
-    assert spec.__spec_reprs__  # the pass genuinely fired
-    t_plain = _timed(lambda: wl.loop(plain))
-    t_spec = _timed(lambda: wl.loop(spec))
-    return t_plain, t_spec
-
-
-def bench_disabled_vs_pr5(wl: Workload):
-    """The live emitter with specialization off against the frozen
-    PR-5 emitter: the twin machinery must be free when disabled.
-
-    Specialization is disabled on *both* contexts: the frozen emitter
-    resolves its premises (e.g. ``lt``) through the live registry, so
-    leaving the flag on would hand it specialized premise checkers the
-    PR-5 code never had — flattering neither side fairly."""
-    ctx_pr5 = wl.make_ctx()
+def _pass_on_off(wl, disable):
+    """The workload's compiled checker with a pass on (side A) and off
+    (side B, *disable* applied to a fresh context); returns the pairs
+    and the on-side checker.  Answers must agree exactly: at these
+    fuels every input is decided definitely on both sides, so the
+    passes' refinement contract is equivalence here."""
     ctx_off = wl.make_ctx()
-    disable_specialization(ctx_pr5)
-    disable_specialization(ctx_off)
-    mode = Mode.checker(ctx_pr5.relations.get(wl.rel).arity)
-    sched_pr5 = build_schedule(ctx_pr5, wl.rel, mode)
-    sched_off = build_schedule(ctx_off, wl.rel, mode)
-    legacy = pr5_compile_checker(ctx_pr5, sched_pr5)
-    live = live_compile_checker(ctx_off, sched_off)
-    assert wl.answers(legacy) == wl.answers(live)
-    t_legacy = _timed(lambda: wl.loop(legacy))
-    t_live = _timed(lambda: wl.loop(live))
-    return t_legacy, t_live
+    disable(ctx_off)
+    on, off = wl.checker(wl.make_ctx()), wl.checker(ctx_off)
+    assert wl.answers(on) == wl.answers(off)
+    return ab_pairs(lambda: wl.loop(on), lambda: wl.loop(off)), on
 
 
-def bench_func_vs_pr6(wl: Workload):
-    """The headline: live emitter with the functionalization pass on
-    vs the frozen PR-6 emitter (which predates the pass — its context
-    gets the pass disabled so its plans carry no OP_EVALREL ops, the
-    exact PR-6 lowering).  Answers must agree exactly: at these fuels
-    the workload is decided definitely on both sides, so refinement
-    equals equivalence here."""
-    ctx_on = wl.make_ctx()
-    ctx_pr6 = wl.make_ctx()
-    disable_functionalization(ctx_pr6)
-    mode = Mode.checker(ctx_on.relations.get(wl.rel).arity)
-    sched_on = build_schedule(ctx_on, wl.rel, mode)
-    sched_pr6 = build_schedule(ctx_pr6, wl.rel, mode)
-    live = live_compile_checker(ctx_on, sched_on)
-    legacy = pr6_compile_checker(ctx_pr6, sched_pr6)
-    assert wl.answers(live) == wl.answers(legacy)
-    return _timed2(lambda: wl.loop(legacy), lambda: wl.loop(live))
+def bench_spec_on_off():
+    pairs, on = _pass_on_off(bst_workload(), disable_specialization)
+    assert on.__spec_reprs__  # the pass genuinely fired
+    return pairs
 
 
-def bench_disabled_vs_pr6(wl: Workload):
-    """The live emitter with functionalization off against the frozen
-    PR-6 emitter: analysis + transform machinery must be free when
-    disabled.  The pass is off on *both* contexts — the frozen emitter
-    cannot execute OP_EVALREL plans (it predates the op), and it
-    resolves premises through the live registry, so leaving the flag
-    on would hand it functionalized premise checkers PR 6 never had."""
-    ctx_pr6 = wl.make_ctx()
-    ctx_off = wl.make_ctx()
-    disable_functionalization(ctx_pr6)
-    disable_functionalization(ctx_off)
-    mode = Mode.checker(ctx_pr6.relations.get(wl.rel).arity)
-    sched_pr6 = build_schedule(ctx_pr6, wl.rel, mode)
-    sched_off = build_schedule(ctx_off, wl.rel, mode)
-    legacy = pr6_compile_checker(ctx_pr6, sched_pr6)
-    live = live_compile_checker(ctx_off, sched_off)
-    assert wl.answers(legacy) == wl.answers(live)
-    return _timed2(lambda: wl.loop(legacy), lambda: wl.loop(live))
+def bench_func_on_off():
+    pairs, on = _pass_on_off(stlc_workload(), disable_functionalization)
+    assert "_p1_" in on.__spec_fast_source__  # a premise was spliced
+    return pairs
 
 
 def bench_fig3_deltas():
     """Derived vs handwritten checker throughput per case study —
-    the numbers behind the EXPERIMENTS.md before/after table."""
+    the numbers behind the EXPERIMENTS.md before/after table, as
+    ``{case: (pairs, delta_percent)}`` with handwritten as side A."""
     from benchmarks.conftest import run_property
 
     cases = [
@@ -263,58 +109,34 @@ def bench_fig3_deltas():
             getattr(mod, gen_name), getattr(mod, hand_name),
             getattr(mod, impl_name),
         )
-        run_property(gh, ph, FIG3_TESTS, 11)  # warm both paths
-        run_property(gd, pd, FIG3_TESTS, 11)
-        th = td = float("inf")
-        for _ in range(REPEATS):  # interleave to cancel machine drift
-            t0 = time.process_time()
-            run_property(gh, ph, FIG3_TESTS, 11)
-            th = min(th, time.process_time() - t0)
-            t0 = time.process_time()
-            run_property(gd, pd, FIG3_TESTS, 11)
-            td = min(td, time.process_time() - t0)
-        deltas[name] = (th / td - 1) * 100
+        pairs = ab_pairs(
+            lambda: run_property(gh, ph, FIG3_TESTS, 11),
+            lambda: run_property(gd, pd, FIG3_TESTS, 11),
+        )
+        deltas[name] = (pairs, (1 / pairs.ratio - 1) * 100)
     return deltas
 
 
 # -- reporting / acceptance --------------------------------------------------
 
 
-def _row(label, t_base, t_new, metric):
-    ratio = t_base / t_new if t_new else float("inf")
-    print(
-        f"[bench_specialize] {label:26s} baseline {t_base * 1e3:9.1f} ms"
-        f"   candidate {t_new * 1e3:9.1f} ms   {metric} {ratio:5.2f}x"
-    )
-    return ratio
-
-
 def run_all(verbose: bool = True):
     results = {}
-    wl = bst_workload()
-    t_plain, t_spec = bench_spec_vs_boxed(wl)
-    results["spec BST"] = t_plain / t_spec
-    if verbose:
-        _row(f"spec on/off {wl.name}", t_plain, t_spec, "speedup")
-    t_pr5, t_off = bench_disabled_vs_pr5(wl)
-    results["legacy BST"] = t_off / t_pr5
-    if verbose:
-        _row(f"off vs pr5  {wl.name}", t_pr5, t_off, "pr5/live")
-    swl = stlc_workload()
-    t_pr6, t_on = bench_func_vs_pr6(swl)
-    results["func STLC"] = t_pr6 / t_on
-    if verbose:
-        _row(f"func vs pr6 {swl.name}", t_pr6, t_on, "speedup")
-    t_pr6_off, t_off6 = bench_disabled_vs_pr6(swl)
-    results["legacy6 STLC"] = t_off6 / t_pr6_off
-    if verbose:
-        _row(f"off vs pr6  {swl.name}", t_pr6_off, t_off6, "pr6/live")
-    for case, delta in bench_fig3_deltas().items():
+    for label, bench in (
+        ("spec BST bst (off/on)", bench_spec_on_off),
+        ("func STLC typing (off/on)", bench_func_on_off),
+    ):
+        pairs = bench()
+        results[label] = pairs.ratio
+        if verbose:
+            print(f"[bench_specialize] {pairs.row(label, 'on', 'off')}")
+    for case, (pairs, delta) in bench_fig3_deltas().items():
         results[f"fig3 {case}"] = delta
         if verbose:
             print(
-                f"[bench_specialize] Fig3 {case:5s} derived vs "
-                f"handwritten: {delta:+.1f}%"
+                f"[bench_specialize] "
+                f"{pairs.row(f'Fig3 {case}', 'hand', 'derived')}"
+                f"   derived vs handwritten {delta:+.1f}%"
             )
     return results
 
@@ -323,49 +145,37 @@ def run_all(verbose: bool = True):
 
 
 def test_specialization_speedup_bst():
-    t_plain, t_spec = bench_spec_vs_boxed(bst_workload())
-    assert t_plain / t_spec >= SPEC_BAR, (
-        f"specialization speedup only {t_plain / t_spec:.2f}x "
-        f"(bar {SPEC_BAR}x)"
-    )
-
-
-def test_disabled_pass_costs_nothing():
-    t_pr5, t_off = bench_disabled_vs_pr5(bst_workload())
-    assert t_off / t_pr5 <= LEGACY_BAR, (
-        f"specialization-off emitter {t_off / t_pr5:.2f}x the frozen "
-        f"PR-5 emitter (bar {LEGACY_BAR}x)"
+    pairs = bench_spec_on_off()
+    print(f"\n[bench_specialize] {pairs.row('spec BST', 'on', 'off')}")
+    assert pairs.ratio >= SPEC_BAR, (
+        f"specialization speedup only {pairs.ratio:.2f}x (bar {SPEC_BAR}x)"
     )
 
 
 def test_functionalization_speedup_stlc():
-    t_pr6, t_on = bench_func_vs_pr6(stlc_workload())
-    assert t_pr6 / t_on >= FUNC_BAR, (
-        f"functionalization speedup only {t_pr6 / t_on:.2f}x on the "
+    pairs = bench_func_on_off()
+    print(f"\n[bench_specialize] {pairs.row('func STLC', 'on', 'off')}")
+    assert pairs.ratio >= FUNC_BAR, (
+        f"functionalization speedup only {pairs.ratio:.2f}x on the "
         f"STLC typing checker (bar {FUNC_BAR}x)"
-    )
-
-
-def test_disabled_functionalization_costs_nothing():
-    t_pr6, t_off = bench_disabled_vs_pr6(stlc_workload())
-    assert t_off / t_pr6 <= LEGACY_BAR, (
-        f"functionalization-off emitter {t_off / t_pr6:.2f}x the frozen "
-        f"PR-6 emitter (bar {LEGACY_BAR}x)"
     )
 
 
 def test_fig3_deltas_report():
     deltas = bench_fig3_deltas()
-    for case, delta in deltas.items():
-        print(f"[bench_specialize] Fig3 {case} delta {delta:+.1f}%")
+    for case, (pairs, delta) in deltas.items():
+        print(
+            f"[bench_specialize] {pairs.row(f'Fig3 {case}', 'hand', 'derived')}"
+            f"   delta {delta:+.1f}%"
+        )
     # Identical-verdict property is asserted inside run_property (a
     # failing derived verdict raises); here we only require the rates
     # to be finite and the BST gap to stay far from the pre-pass
     # -50% regime even on noisy runners.
-    assert all(d == d for d in deltas.values())
+    assert all(d == d for _, d in deltas.values())
     if not QUICK:
-        assert deltas["BST"] > -35.0, (
-            f"BST derived-vs-handwritten delta {deltas['BST']:+.1f}% "
+        assert deltas["BST"][1] > -35.0, (
+            f"BST derived-vs-handwritten delta {deltas['BST'][1]:+.1f}% "
             "regressed toward the pre-specialization -50% regime"
         )
 

@@ -7,12 +7,13 @@ PR on the bench_serve mixed check workload:
 
 * **telemetry off** — the default `Engine` (``telemetry=None``) is the
   baseline: it takes the counter fast path (plain locked dict bumps)
-  and must stay at noise vs PR 8, which bench_serve's session-overhead
-  bars already guard.
+  and is guarded end to end by the benchmark suite's ``serve_batch``
+  and ``serve_serial`` workloads.
 * **telemetry on, sampled** — ``Telemetry(sample_every=128)``, the
   production default: full latency/counter recording on every query,
   span traces only on sampled queries.  Bar: **<= 1.05x** the off
-  configuration (interleaved best-of-N ratio; 2.0x under
+  configuration (median per-pair ratio of alternating pairs, see
+  ``benchmarks/pairs.py``; 2.0x under
   ``REPRO_BENCH_QUICK=1`` — shared CI runners make tight bars flaky).
 * **telemetry on, full tracing** — ``sample_every=1`` runs every
   query under an observation and keeps its span tree.  Reported only:
@@ -34,12 +35,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_serve import (
-    QUICK,
-    _corpus_ctx,
-    _engine_workload,
-    _interleaved,
-)
+from benchmarks.bench_serve import QUICK, _corpus_ctx, _engine_workload
+from benchmarks.pairs import ab_pairs
 from repro.observe.telemetry import Telemetry
 from repro.serve import Engine
 
@@ -47,7 +44,7 @@ OVERHEAD_BAR = 2.0 if QUICK else 1.05
 
 
 def _paired_run(telemetry_factory, **engine_kwargs):
-    """Interleaved best-of-N of the same warmed workload through two
+    """Alternating pairs of the same warmed workload through two
     engines: telemetry off vs ``telemetry_factory()``.
 
     Separate contexts so memo/stats warmth cannot leak between the
@@ -59,16 +56,14 @@ def _paired_run(telemetry_factory, **engine_kwargs):
     ) as eng_on:
         eng_off.prepare(queries)
         eng_on.prepare(queries)
-        eng_off.run_batch(queries)
-        eng_on.run_batch(queries)
-        t_off, t_on, ratio = _interleaved(
+        pairs = ab_pairs(
             lambda: eng_off.run_batch(queries),
             lambda: eng_on.run_batch(queries),
         )
         traced = eng_on.telemetry.metrics.counter_snapshot().get(
             "serve.traced", 0
         )
-    return t_off, t_on, ratio, traced
+    return pairs.a, pairs.b, pairs.ratio, traced
 
 
 def bench_sampled_overhead():

@@ -68,11 +68,13 @@ def register(ctx: Context, instance: Instance, replace: bool = False) -> Instanc
         if key in ctx.instances and not replace:
             raise DerivationError(f"instance already registered for {key}")
         if replace:
-            # Purge *every* backend's entry for this (kind, rel, mode) —
-            # a previously compiled instance would otherwise keep serving
-            # the replaced implementation — and drop memoized answers,
-            # which may depend on the old instance through premise calls.
-            stale = [k for k in ctx.instances if k[:3] == key]
+            # Purge this key's entries and *every* compiled instance:
+            # compiled code binds its premise callees (and splices their
+            # plans) at compile time, so any compiled dependent would
+            # keep serving the replaced implementation.  Like the memo
+            # tables dropped below, the purge is wholesale rather than
+            # dependency-tracked; dropped instances recompile on demand.
+            stale = [k for k in ctx.instances if k[:3] == key or len(k) == 4]
             for k in stale:
                 del ctx.instances[k]
             invalidate_memo(ctx, instance.rel)

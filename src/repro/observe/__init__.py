@@ -18,7 +18,8 @@ Everything hangs off one contextmanager::
 
 The hook sites live in :mod:`repro.derive.exec_core` and the compiled
 twins from :mod:`repro.derive.codegen`; with no observation installed
-they cost one dict read per fixpoint level (the bench_observe.py bar).
+they cost the interpreter one dict read per fixpoint level, and the
+compiled entry wrappers run fast twins that carry no hook site.
 All four backends (three interpreters + compiled) feed identical span
 trees and coverage — the timing-stripped views
 (:meth:`~repro.observe.spans.Span.identity`,

@@ -207,8 +207,9 @@ def observe(ctx: Context, *, span_cap: "int | None" = DEFAULT_CAP):
 
     Overhead contract: inside the block every fixpoint level pays for
     span bookkeeping (roughly profiling cost plus one object per
-    level); outside, the executors' ``caches.get`` probes are the only
-    trace left — the ``bench_observe.py`` bar holds that at noise.
+    level); outside, the interpreter's ``caches.get`` probes are the
+    only trace left, and the compiled entry wrappers run hook-free
+    fast twins.
     """
     caches = ctx.caches
     obs = Observation(span_cap)

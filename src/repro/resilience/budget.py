@@ -16,10 +16,12 @@ already exercises (``tests/resilience/test_fault_injection.py`` asserts
 this differentially over the whole corpus).
 
 Installation follows the observability pattern exactly: the budget
-lives at ``ctx.caches[BUDGET_KEY]``, the executors probe it with one
-``caches.get`` per fixpoint level and guard every site with ``is not
-None`` — budgets-off overhead is a dict read per level plus dead
-branches (held to <= 1.05x by ``benchmarks/bench_resilience.py``).
+lives at ``ctx.caches[BUDGET_KEY]``, the interpreter and the
+instrumented compiled twins probe it with one ``caches.get`` per
+fixpoint level and guard every site with ``is not None``.  With no
+budget installed the compiled entry wrappers run the fast twins,
+which carry no charge site at all
+(``tests/derive/test_codegen.py::TestFastTwinsCarryNoHooks``).
 
 **Charging protocol.**  Both executor families charge at the same
 three kinds of site, in the same order, so interpreted and compiled

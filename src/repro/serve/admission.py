@@ -40,9 +40,9 @@ Budget` is for a single computation:
   recovered shape closes the breaker again.
 
 Everything here is policy; the engine stays the mechanism.  With
-``queue_max=None`` (the default) none of this is in the hot path —
-``benchmarks/bench_admission.py`` pins admission-off overhead at
-<= 1.05x of the frozen PR 9 engine.
+``queue_max=None`` (the default) none of this is in the hot path,
+which the benchmark suite's ``serve_batch`` workload guards end to
+end.
 """
 
 from __future__ import annotations
@@ -388,7 +388,7 @@ class OverloadController:
     budget) so every query does less work under pressure.  ``SHED``
     additionally makes :meth:`should_shed` true: new queries resolve
     as ``status="shed"`` / ``GiveUp("overload")`` at submit, keeping
-    the served ones fast — the p99 bound
+    the served ones fast — the burst p99 bound
     ``benchmarks/bench_admission.py`` pins.
     """
 

@@ -70,8 +70,8 @@ High availability (PR 10) wraps three governors around that core:
   raises instead of queueing into the void.
 
 With ``queue_max=None`` (the default) none of the admission machinery
-is active; ``benchmarks/bench_admission.py`` pins the engine at
-≤ 1.05× the frozen pre-admission engine on its batched workload.
+is active; the benchmark suite's ``serve_batch`` workload guards that
+path end to end.
 
 Chaos testing hooks: *faults* takes a :class:`~repro.resilience.
 faults.WorkerFaultPlan`; each worker counts the queries it claims
@@ -100,7 +100,7 @@ from ..core.errors import ReproError
 from ..core.session import activate_session
 from ..derive.api import compiled_instance
 from ..derive.instances import CHECKER, ENUM, GEN, REGISTRY_EPOCH
-from ..derive.memo import enable_memoization
+from ..derive.memo import clear_memo, enable_memoization
 from ..observe.metrics import Metrics
 from ..observe.telemetry import Telemetry
 from ..producers.option_bool import NONE_OB, SOME_TRUE
@@ -640,10 +640,14 @@ class Engine:
         Checked once per chunk against the registry epoch, so a
         ``register(..., replace=True)`` reaches a running engine at its
         next chunk; per worker, so every resolution (and memo wrapping)
-        happens in the worker's own session."""
+        happens in the worker's own session.  A new epoch also clears
+        the worker's memo shard: ``register`` invalidates only the
+        registering session's tables, and cached answers may depend on
+        the replaced instance."""
         epoch = self.ctx.artifacts.get(REGISTRY_EPOCH, 0)
         cached = self._resolved[index]
         if cached is None or cached[0] != epoch:
+            clear_memo(self.ctx)
             cached = self._resolved[index] = (epoch, {})
         return cached[1]
 

@@ -42,6 +42,22 @@ class TestCompiledCheckers:
                 args = (nat_list(xs),)
                 assert interp(fuel, args) is compiled(fuel, args)
 
+    def test_replace_after_compile_reaches_spliced_premise(self, stlc_ctx):
+        """``typing`` splices its ``lookup`` premise at compile time;
+        replacing the ``lookup`` checker afterwards must reach the
+        compiled caller as it reaches the interpreter."""
+        from repro.derive import register_checker
+        from repro.producers.option_bool import SOME_FALSE
+
+        args = (from_list([V("N")]), V("Vart", from_int(0)), V("N"))
+        _, compiled = checker_pair(stlc_ctx, "typing")
+        assert compiled(5, args).is_true
+        register_checker(
+            stlc_ctx, "lookup", lambda fuel, args: SOME_FALSE, replace=True
+        )
+        interp, compiled = checker_pair(stlc_ctx, "typing")
+        assert interp(5, args) is compiled(5, args) is SOME_FALSE
+
     def test_stlc_agreement_including_existentials(self, stlc_ctx):
         interp, compiled = checker_pair(stlc_ctx, "typing")
         N = V("N")
@@ -385,6 +401,36 @@ class TestChooserSites:
             gen(4, (env, N_TY), random.Random(seed))
         assert calls
 
+    def test_replace_after_compile_reaches_compiled_caller(self, stlc_ctx):
+        """A generator replaced *after* ``typing`` compiled is the one
+        the recompiled caller draws from, call for call as the
+        interpreter does."""
+        from repro.core.values import to_list
+        from repro.derive import register_producer
+
+        ioi = Mode.from_string("ioi")
+        before = resolve_compiled(stlc_ctx, GEN, "typing", ioi)
+        calls = []
+
+        def hand_lookup(fuel, ins, rng):
+            env, ty = ins
+            hits = [i for i, t in enumerate(to_list(env)) if t == ty]
+            calls.append(ins)
+            return (from_int(rng.choice(hits)),) if hits else FAIL
+
+        register_producer(stlc_ctx, GEN, "lookup", ioi, hand_lookup, replace=True)
+        compiled = resolve_compiled(stlc_ctx, GEN, "typing", ioi)
+        interp = resolve(stlc_ctx, GEN, "typing", ioi).fn
+        assert compiled is not before
+        env = from_list([N_TY, ARR_NN])
+        runs = {}
+        for name, gen in (("compiled", compiled), ("interp", interp)):
+            calls.clear()
+            outs = [gen(4, (env, N_TY), random.Random(s)) for s in range(50)]
+            runs[name] = (outs, len(calls))
+        assert runs["compiled"] == runs["interp"]
+        assert runs["compiled"][1] > 0
+
     def test_fast_memo_is_bounded(self, stlc_ctx):
         from repro.derive.codegen import CHOICE_MEMO_CAP
 
@@ -445,6 +491,68 @@ class TestChooserSites:
         mode = Mode.from_string("ioi")
         for rel in ("typing", "lookup"):
             src = resolve_compiled(stlc_ctx, kind, rel, mode).__fast_rec__
-            src = src.__derived_source__
-            for hook in ("_tr", "_ob", "_bud", "record4", "spans", "charge"):
-                assert hook not in src, (rel, hook)
+            assert_no_hook_sites(src.__derived_source__, rel)
+
+
+#: Names every instrumentation site spells: the trace (``_tr``,
+#: ``record4``), observe (``_ob``, ``spans``) and budget (``_bud``,
+#: ``charge``) hooks, and the session caches they are read from.
+HOOK_NAMES = ("_tr", "_ob", "_bud", "record4", "spans", "charge", "caches")
+
+
+def assert_no_hook_sites(src: str, label) -> None:
+    for hook in HOOK_NAMES:
+        assert hook not in src, (label, hook)
+
+
+#: The Figure 3 checkers: (case study, relation, a positive input).
+FIG3_CHECKERS = [
+    ("stlc", "typing", (from_list([]), V("Con", from_int(1)), V("N"))),
+    ("bst", "bst", (from_int(0), from_int(4), V("Leaf"))),
+    ("ifc", "indist_list", (from_list([]), from_list([]))),
+]
+
+
+def _codes_run(fn, *args) -> set:
+    """The code objects of every Python function *fn* calls."""
+    import sys
+
+    seen = set()
+
+    def prof(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(prof)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestFastTwinsCarryNoHooks:
+    """The zero-cost-when-off claim of the trace, observe, budget and
+    session hooks, checked exactly: with no hook installed the entry
+    wrappers run the fast twins, and the fast twins spell no hook."""
+
+    @pytest.mark.parametrize("study,rel,args", FIG3_CHECKERS)
+    def test_fast_checker_twin_is_hook_free_and_runs_uninstrumented(
+        self, study, rel, args
+    ):
+        import importlib
+
+        from repro.observe import observe
+
+        ctx = importlib.import_module(f"repro.casestudies.{study}").make_context()
+        arity = ctx.relations.get(rel).arity
+        check = resolve_compiled(ctx, CHECKER, rel, Mode.checker(arity))
+        assert_no_hook_sites(check.__spec_fast_source__, rel)
+        assert "charge" in check.__spec_source__  # the check can fail
+        fast, slow = check.__spec_fast__.__code__, check.__spec_rec__.__code__
+        assert check(8, args).is_true
+        bare = _codes_run(check, 8, args)
+        assert fast in bare and slow not in bare
+        with observe(ctx):
+            observed = _codes_run(check, 8, args)
+        assert slow in observed and fast not in observed

@@ -610,6 +610,29 @@ class TestCompiledExecutors:
                 ("checker", "le", None): "handwritten"
             }
 
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_replace_reaches_compiled_dependents_on_running_engine(
+        self, stlc_ctx, memoize
+    ):
+        """Replacing a premise (STLC ``lookup``) of a shape the engine
+        already serves (``typing``) changes its answers at once: no
+        stale compiled caller, no stale memo shard."""
+        from repro.core.values import from_list
+        from repro.derive.instances import register_checker
+        from repro.producers.option_bool import SOME_FALSE
+
+        n_ty = Value("N", ())
+        query = CheckQuery(
+            "typing", (from_list([n_ty]), Value("Vart", (nat(0),)), n_ty),
+            fuel=5,
+        )
+        with Engine(stlc_ctx, workers=1, memoize=memoize) as eng:
+            assert eng.run(query).value is True
+            register_checker(
+                stlc_ctx, "lookup", lambda fuel, args: SOME_FALSE, replace=True
+            )
+            assert eng.run(query).value is False
+
     def test_gate_runs_once_per_shape_with_structured_errors(
         self, nat_ctx, monkeypatch
     ):
