@@ -51,7 +51,7 @@ from ..core.terms import Fun, Term, Var, subst, var_set_all
 from ..core.unify import unify
 from ..derive.instances import CHECKER, ENUM, GEN, lookup
 from ..derive.modes import Mode
-from ..derive.preprocess import preprocess_relation
+from ..derive.preprocess import normalized_relation
 from ..derive.schedule import Schedule
 from ..derive.scheduler import (
     DEFAULT_POLICY,
@@ -689,7 +689,7 @@ def analyze(
     _check_productivity(ctx, rel, _productive_relations(ctx), diags)
 
     try:
-        pre = preprocess_relation(rel, ctx)
+        pre = normalized_relation(ctx, rel)
     except ReproError as exc:
         diags.append(
             Diagnostic(

@@ -57,7 +57,7 @@ from ..core.terms import Ctor, Term, Var, subst, var_set_all
 from ..core.unify import unify
 from ..core.values import Value
 from ..derive.modes import Mode
-from ..derive.preprocess import preprocess_relation
+from ..derive.preprocess import normalized_relation
 from ..derive.schedule import (
     SCheckCall,
     SInstantiate,
@@ -235,7 +235,7 @@ def _compute(
         return Verdict.MULTI
     try:
         schedule: Schedule = build_schedule(ctx, rel_name, mode)
-        pre = preprocess_relation(relation, ctx)
+        pre = normalized_relation(ctx, relation)
     except ReproError:
         return Verdict.MULTI  # unschedulable/ill-typed: assume the worst
 

@@ -4,9 +4,9 @@ The paper's plugin emits Gallina *code* for each derived computation;
 the interpreters in this package execute the lowered Plan IR instead.
 This module closes the loop: it compiles a :class:`~repro.derive.plan.
 Plan` into a dedicated Python function (built with ``compile``/
-``exec``), eliminating the remaining interpretive overhead — the
-backend used by the Figure 3 benchmarks, with the interpreter kept as
-the ablation baseline.
+``exec`` on its first call, see :func:`_lazy_fixpoint`), eliminating
+the remaining interpretive overhead — the backend used by the Figure 3
+benchmarks, with the interpreter kept as the ablation baseline.
 
 The compiler consumes the *same* lowering as the interpreters
 (:func:`~repro.derive.plan.lower_schedule` — slot environments,
@@ -85,6 +85,7 @@ span trees, and replay a deterministic fault schedule identically.
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import Any, NamedTuple
 
 from ..core.context import Context
@@ -355,13 +356,10 @@ class _PlanCompiler:
                 self._emit_enum_top(em)
             else:
                 self._emit_gen_top(em)
-        source = em.source()
-        code = compile(source, f"<derived {self.kind} {self.plan.rel}>", "exec")
-        namespace = dict(self.globals)
-        exec(code, namespace)
-        rec = namespace["rec"]
-        rec.__derived_source__ = source
-        return rec
+        return _lazy_fixpoint(
+            self.ctx, em.source(), f"<derived {self.kind} {self.plan.rel}>",
+            dict(self.globals),
+        )
 
     def _ins_params(self) -> list[str]:
         return [f"_in{i}" for i in range(self.plan.n_ins)]
@@ -1608,6 +1606,50 @@ class _PlanCompiler:
         else:
             em.emit("return OUT_OF_FUEL if _fuel else FAIL")
         em.indent -= 1
+
+
+def _uncompiled_rec(*args):
+    # The body of a fixpoint before its first call; it runs in the
+    # fixpoint's own namespace, where _lazy_fixpoint binds _compile_rec.
+    return _compile_rec(args)  # noqa: F821
+
+
+def _lazy_fixpoint(ctx: Context, source: str, filename: str, namespace: dict):
+    """The fixpoint ``rec`` of *source*, compiled on its first call.
+
+    The returned function carries ``__derived_source__`` at once, but
+    ``compile``/``exec`` of *source* waits until something calls it, so
+    the twins no call selects (instrumented ones in an uninstrumented
+    run, boxed fallbacks, unused eval twins) never cost a compile.  The
+    first call compiles under ``ctx._derive_lock`` (double-checked),
+    execs into *namespace* (the function's own globals), adopts the
+    real ``rec``'s code and rebinds ``namespace["rec"]`` to itself.
+    Every reference taken before then (entry wrappers, ``__spec_*__``
+    attributes, callers' namespaces) runs the compiled code from then
+    on with no extra frame and no per-call check.
+    """
+    rec = FunctionType(_uncompiled_rec.__code__, namespace, "rec")
+    rec.__qualname__ = "rec"
+    rec.__derived_source__ = source
+    compiled = False
+
+    def compile_rec(args: tuple):
+        nonlocal compiled
+        if not compiled:
+            with ctx._derive_lock:
+                if not compiled:
+                    exec(compile(source, filename, "exec"), namespace)
+                    real = namespace["rec"]
+                    rec.__code__ = real.__code__
+                    namespace["rec"] = rec
+                    compiled = True
+                    st = ctx.caches.get("derive_stats")
+                    if st is not None:
+                        st.fixpoints_compiled += 1
+        return rec(*args)
+
+    namespace["_compile_rec"] = compile_rec
+    return rec
 
 
 def _has_loop_ops(h: PlanHandler) -> bool:

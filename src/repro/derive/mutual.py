@@ -42,20 +42,42 @@ from .scheduler import DEFAULT_POLICY, DerivePolicy, build_schedule
 def mutual_components(ctx: Context, rel_names: list[str]) -> list[list[str]]:
     """Strongly connected components of the premise-reference graph,
     restricted to *rel_names*, in a topological order (dependencies
-    first)."""
-    import networkx as nx
+    first), each component's members sorted.
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(rel_names)
+    Tarjan's algorithm: a component is completed only after every
+    component it reaches, and edges point from a relation to the
+    relations its premises mention, so dependencies come out first."""
+    names = set(rel_names)
+    edges = {
+        name: sorted(
+            t for t in ctx.relations.get(name).mentioned_relations()
+            if t in names and t != name
+        )
+        for name in rel_names
+    }
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    components: list[list[str]] = []
+
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in edges[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            i = stack.index(v)
+            components.append(sorted(stack[i:]))
+            del stack[i:]
+
     for name in rel_names:
-        for target in ctx.relations.get(name).mentioned_relations():
-            if target in rel_names and target != name:
-                graph.add_edge(name, target)
-    components = list(nx.strongly_connected_components(graph))
-    condensed = nx.condensation(graph, components)
-    order = list(nx.topological_sort(condensed))
-    # Dependencies first: reverse the edge direction convention.
-    return [sorted(condensed.nodes[i]["members"]) for i in reversed(order)]
+        if name not in index:
+            visit(name)
+    return components
 
 
 def derive_mutual_checkers(

@@ -103,3 +103,25 @@ def preprocess_relation(rel: Relation, ctx: Context) -> Relation:
     from ..core.typecheck import infer_relation_types
 
     return infer_relation_types(candidate, ctx)
+
+
+#: ``ctx.artifacts`` key of the per-context normalized-relation cache.
+NORMALIZED_KEY = "normalized_relations"
+
+
+def normalized_relation(ctx: Context, rel: Relation) -> Relation:
+    """:func:`preprocess_relation` of *rel*, computed once per context.
+
+    Entries are keyed by relation name and hold the ``Relation`` they
+    were built from: a hit requires that very object, so a re-declared
+    relation is normalized afresh, and a forked context (whose artifacts
+    start empty) builds its own.  The analysis gate, the determinacy
+    analysis, the scheduler and the reference proof search all read it.
+    """
+    cache = ctx.artifacts.setdefault(NORMALIZED_KEY, {})
+    hit = cache.get(rel.name)
+    if hit is not None and hit[0] is rel:
+        return hit[1]
+    out = preprocess_relation(rel, ctx)
+    cache[rel.name] = (rel, out)
+    return out

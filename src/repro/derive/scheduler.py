@@ -43,7 +43,7 @@ from ..core.relations import EqPremise, Premise, Relation, RelPremise, Rule
 from ..core.terms import Ctor, Fun, Term, Var, free_vars
 from ..core.types import Ty, TypeExpr, TyVar, is_ground
 from .modes import Mode
-from .preprocess import preprocess_relation
+from .preprocess import normalized_relation
 from .readiness import RuleDataflow
 from .schedule import (
     Handler,
@@ -475,7 +475,7 @@ def build_schedule(
             f"has arity {rel.arity}"
         )
     check_in_scope(ctx, rel)
-    normalized = preprocess_relation(rel, ctx)
+    normalized = normalized_relation(ctx, rel)
     handlers = tuple(
         _HandlerBuilder(ctx, normalized, rule, mode, policy, group).build()
         for rule in normalized.rules

@@ -41,6 +41,7 @@ COUNTERS = (
     ("cache_evictions", "memo entries evicted (cache-size cap)"),
     ("functionalized_calls", "functionalized premise evaluations (OP_EVALREL)"),
     ("inlined_frames", "premise call sites inlined by codegen (per compile)"),
+    ("fixpoints_compiled", "derived fixpoints compiled (on first call)"),
 )
 
 

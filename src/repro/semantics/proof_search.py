@@ -71,13 +71,11 @@ _DEFAULT = SearchConfig()
 
 def _normalized(ctx: Context, rel_name: str) -> Relation:
     """The relation with conclusions normalized to linear patterns
-    (function calls and repeated variables moved to equality premises)."""
-    cache = ctx.artifacts.setdefault("normalized_relations", {})
-    if rel_name not in cache:
-        from ..derive.preprocess import preprocess_relation
+    (function calls and repeated variables moved to equality premises),
+    from the context's normalized-relation cache."""
+    from ..derive.preprocess import normalized_relation
 
-        cache[rel_name] = preprocess_relation(ctx.relations.get(rel_name), ctx)
-    return cache[rel_name]
+    return normalized_relation(ctx, ctx.relations.get(rel_name))
 
 
 def _eval_open(t: Term, s: Subst, ctx: Context) -> Term:

@@ -549,10 +549,164 @@ class TestFastTwinsCarryNoHooks:
         check = resolve_compiled(ctx, CHECKER, rel, Mode.checker(arity))
         assert_no_hook_sites(check.__spec_fast_source__, rel)
         assert "charge" in check.__spec_source__  # the check can fail
-        fast, slow = check.__spec_fast__.__code__, check.__spec_rec__.__code__
         assert check(8, args).is_true
         bare = _codes_run(check, 8, args)
-        assert fast in bare and slow not in bare
         with observe(ctx):
             observed = _codes_run(check, 8, args)
+        # Read after the calls: a twin's code exists once it first runs.
+        fast, slow = check.__spec_fast__.__code__, check.__spec_rec__.__code__
+        assert fast in bare and slow not in bare
         assert slow in observed and fast not in observed
+
+
+#: Attributes of a compiled instance that hold a fixpoint, and the ones
+#: an uninstrumented call selects.
+FIXPOINT_ATTRS = ("__wrapped_rec__", "__spec_rec__", "__spec_fast__",
+                  "__fast_rec__", "__spec_eval_rec__")
+FAST_ATTRS = ("__spec_fast__", "__fast_rec__", "__spec_eval_rec__")
+
+STLC_TERMS = [
+    (from_list([]), V("Con", from_int(1)), V("N")),
+    (from_list([V("N")]), V("Vart", from_int(0)), V("N")),
+    (from_list([V("N")]), V("Vart", from_int(1)), V("N")),
+    (from_list([]), V("Abs", V("N"), V("Vart", from_int(0))),
+     V("Arr", V("N"), V("N"))),
+    (from_list([]), V("Add", V("Con", from_int(1)), V("Abs", V("N"), V("Con", from_int(2)))),
+     V("N")),
+]
+
+
+def _fixpoints(ctx) -> list:
+    """``(attr, fixpoint)`` of every compiled instance's fixpoints,
+    each fixpoint once."""
+    seen: dict = {}
+    for inst in ctx.instances.values():
+        if inst.source != "compiled":
+            continue
+        for attr in FIXPOINT_ATTRS:
+            f = getattr(inst.fn, attr, None)
+            if f is not None:
+                seen.setdefault(id(f), (attr, f))
+    return list(seen.values())
+
+
+def _is_compiled(fn) -> bool:
+    from repro.derive.codegen import _uncompiled_rec
+
+    return fn.__code__ is not _uncompiled_rec.__code__
+
+
+def _derive_typing(ctx):
+    from repro.derive.stats import install_stats
+
+    stats = install_stats(ctx)
+    check = resolve_compiled(ctx, CHECKER, "typing", Mode.checker(3))
+    gen = resolve_compiled(ctx, GEN, "typing", Mode.from_string("ioi"))
+    return stats, check, gen
+
+
+class TestLazyCompilation:
+    """Fixpoints are emitted at derivation and compiled on first call."""
+
+    def test_derivation_compiles_nothing_and_keeps_every_source(self, stlc_ctx):
+        stats, check, gen = _derive_typing(stlc_ctx)
+        fixpoints = _fixpoints(stlc_ctx)
+        assert len(fixpoints) > 4
+        assert stats.fixpoints_compiled == 0
+        assert not any(_is_compiled(f) for _, f in fixpoints)
+        sources = [f.__derived_source__ for _, f in fixpoints] + [
+            check.__derived_source__, check.__spec_source__,
+            check.__spec_fast_source__, gen.__derived_source__,
+        ]
+        assert all("def rec(" in src for src in sources)
+
+    def test_uninstrumented_call_compiles_only_fast_twins_it_reaches(self, stlc_ctx):
+        from repro.derive.trace import profile
+
+        stats, check, _ = _derive_typing(stlc_ctx)
+        assert check(8, STLC_TERMS[1]).is_true
+        compiled = [(a, f) for a, f in _fixpoints(stlc_ctx) if _is_compiled(f)]
+        assert _is_compiled(check.__spec_fast__)
+        assert {a for a, _ in compiled} <= set(FAST_ATTRS)
+        assert stats.fixpoints_compiled == len(compiled)
+        assert not _is_compiled(check.__spec_rec__)
+        with profile(stlc_ctx):
+            assert check(8, STLC_TERMS[1]).is_true
+        assert _is_compiled(check.__spec_rec__)
+        assert not _is_compiled(check.__wrapped_rec__)
+        assert stats.fixpoints_compiled == sum(
+            _is_compiled(f) for _, f in _fixpoints(stlc_ctx)
+        )
+
+    def test_racing_first_calls_compile_each_fixpoint_once(self, stlc_ctx):
+        import sys
+        import threading
+
+        interp = resolve(stlc_ctx, CHECKER, "typing", Mode.checker(3)).fn
+        expected = [interp(8, args) for args in STLC_TERMS]
+        stats, check, gen = _derive_typing(stlc_ctx)
+        ins = (from_list([V("N")]), V("Arr", V("N"), V("N")))
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        results: list = [None] * n_threads
+
+        def worker(k):
+            barrier.wait()
+            got = [check(8, args) for args in STLC_TERMS]
+            rng = random.Random(7)
+            draws = [gen(4, ins, rng) for _ in range(20)]
+            results[k] = (got, draws)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == results[0] for r in results)
+        assert all(a is b for a, b in zip(results[0][0], expected))
+        assert stats.fixpoints_compiled == sum(
+            _is_compiled(f) for _, f in _fixpoints(stlc_ctx)
+        ) > 0
+
+    def test_second_call_runs_no_trampoline(self, stlc_ctx):
+        _, check, _ = _derive_typing(stlc_ctx)
+        first = {c.co_name for c in _codes_run(check, 8, STLC_TERMS[3])}
+        assert {"_uncompiled_rec", "compile_rec"} <= first
+        second = {c.co_name for c in _codes_run(check, 8, STLC_TERMS[3])}
+        assert not {"_uncompiled_rec", "compile_rec"} & second
+        assert "rec" in second
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork start method missing",
+    )
+    def test_fork_campaign_over_uncalled_instances_matches_inline(self, nat_ctx):
+        from repro.quickchick import classify, for_all
+        from repro.resilience import parallel_quick_check
+
+        check = resolve_compiled(nat_ctx, CHECKER, "le", Mode.checker(2))
+
+        def gen(size, rng):
+            return (rng.randint(0, size), rng.randint(0, size))
+
+        def pred(pair):
+            return check(30, (from_int(pair[0]), from_int(pair[1])))
+
+        prop = for_all(gen, classify(lambda p: p[0] == p[1], "refl", pred),
+                       name="le_holds")
+        kw = dict(workers=2, seed=11, ctx=nat_ctx, stop_on_failure=False)
+        forked = parallel_quick_check(prop, 60, backend="fork", **kw)
+        # The shards compiled in their own processes, not here.
+        assert not any(_is_compiled(f) for _, f in _fixpoints(nat_ctx))
+        inline = parallel_quick_check(prop, 60, backend="inline", **kw)
+        assert (forked.tests_run, forked.discards, forked.failed, forked.labels) == (
+            inline.tests_run, inline.discards, inline.failed, inline.labels
+        )
+        assert inline.failed and inline.tests_run == 60

@@ -131,3 +131,67 @@ class TestIdempotence:
         names = rule.variables()
         # Three distinct variables: n, the user's n_nl, and the fresh one.
         assert len(names) == 3
+
+
+class TestNormalizedOnce:
+    """The gate, the determinacy analysis, the scheduler and the proof
+    search share one normalized relation per relation per context."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> dict:
+        from repro.derive import preprocess
+
+        runs: dict = {}
+        real = preprocess.preprocess_relation
+
+        def counted(rel, ctx):
+            key = (id(ctx), rel.name)
+            runs[key] = runs.get(key, 0) + 1
+            return real(rel, ctx)
+
+        monkeypatch.setattr(preprocess, "preprocess_relation", counted)
+        return runs
+
+    @staticmethod
+    def _derive(ctx, rel, gen_mode):
+        from repro.derive import Mode, derive_checker, derive_generator
+        from repro.derive.instances import CHECKER, GEN, resolve_compiled
+
+        derive_checker(ctx, rel)
+        derive_generator(ctx, rel, gen_mode)
+        arity = ctx.relations.get(rel).arity
+        resolve_compiled(ctx, CHECKER, rel, Mode.checker(arity))
+        resolve_compiled(ctx, GEN, rel, Mode.from_string(gen_mode))
+
+    @pytest.mark.parametrize(
+        "study,rel,gen_mode", [("stlc", "typing", "ioi"), ("ifc", "indist_list", "io")]
+    )
+    def test_checker_and_generator_normalize_each_relation_once(
+        self, monkeypatch, study, rel, gen_mode
+    ):
+        import importlib
+
+        runs = self._counting(monkeypatch)
+        ctx = importlib.import_module(f"repro.casestudies.{study}").make_context()
+        self._derive(ctx, rel, gen_mode)
+        assert runs.get((id(ctx), rel)) == 1
+        assert max(runs.values()) == 1
+        child = ctx.fork()
+        self._derive(child, rel, gen_mode)
+        assert runs.get((id(child), rel)) == 1
+        assert max(runs.values()) == 1
+
+    def test_redeclared_relation_is_normalized_afresh(self, ctx):
+        from repro.derive.preprocess import normalized_relation
+
+        text = "Inductive sq : nat -> nat -> Prop := | s : forall n, sq n (n * n)."
+        first = normalized_relation(ctx, get_rel(ctx, text, "sq"))
+        assert normalized_relation(ctx, ctx.relations.get("sq")) is first
+        other = get_rel(standard_context(), text.replace("n * n", "n + n"), "sq")
+        ctx.relations.declare(other, allow_replace=True)
+        second = normalized_relation(ctx, ctx.relations.get("sq"))
+        assert second is not first
+        assert any(
+            isinstance(p, EqPremise) and p.lhs.name == "plus"
+            for p in second.rules[0].premises
+        )
