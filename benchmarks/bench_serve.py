@@ -87,11 +87,12 @@ def _corpus_ctx():
 
 
 def _campaign_property(ctx, fuel: int = 40):
-    """A compute-bearing ``le`` property: each test decides a derived
-    checker call, so shard wall-clock is real executor work."""
-    from repro.derive.instances import CHECKER, resolve
+    """A compute-bearing ``le`` property: each test decides a call of
+    the compiled derived checker (the one the engine and the suite
+    run), so shard wall-clock is real executor work."""
+    from repro.derive.instances import CHECKER, resolve_compiled
 
-    check = resolve(ctx, CHECKER, "le", Mode.checker(2)).fn
+    check = resolve_compiled(ctx, CHECKER, "le", Mode.checker(2))
 
     def gen(size, rng):
         a = rng.randint(0, size)

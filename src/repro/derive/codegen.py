@@ -56,12 +56,19 @@ twin ``__spec_eval_rec__`` (pinned-boxed, fast, eval protocol).
 Enumerators compile to Python generator functions (``yield`` /
 ``yield from``), generators to single-sample recursive functions with
 the weighted-backtrack loop at the top (one ``rng.random()`` per
-handler draw).  At a non-recursive premise whose plan is linear
+handler draw; the first draw reads the weights off the dispatch
+entries and allocates nothing, the ``_live`` retry list is built only
+after a failure).  At a non-recursive premise whose plan is linear
 (:func:`~repro.derive.plan.linear_premise`) a generator enumerates the
 premise with its compiled enumerator and chooses one answer
 (:func:`~repro.derive.exec_core.choose`); the fast twin memoizes each
-such site's ``(fuel, ins) -> (answers, marker)`` in a dict of at most
-:data:`CHOICE_MEMO_CAP` entries.  Those two walkers stay separate from
+such site's ``(fuel, *ins) -> (answers, marker)`` in a dict of at most
+:data:`CHOICE_MEMO_CAP` entries.  Every other generator site calls
+compiled code directly: ``OP_INSTANTIATE`` binds the type's sampler
+(:func:`~repro.producers.combinators.datatype_sampler`), and a fast
+twin binds its callees' fast fixpoints (``__fast_rec__``) rather than
+their public wrappers.  The draws are the interpreter's, draw for
+draw.  Those two walkers stay separate from
 the checker walker: their control protocols differ, and folding them
 in would make the walker branch on its caller.  External
 instances are resolved at compile time through the registry (with the
@@ -92,7 +99,7 @@ from ..core.context import Context
 from ..core.errors import ReproError, UnknownNameError
 from ..core.types import Ty, TypeExpr, is_ground, mangle
 from ..core.values import Value
-from ..producers.combinators import _enum_values, _gen_value, slice_exhaustive
+from ..producers.combinators import _enum_values, datatype_sampler, slice_exhaustive
 from ..producers.option_bool import NONE_OB, SOME_FALSE, SOME_TRUE, negate
 from ..producers.outcome import FAIL, OUT_OF_FUEL
 from . import specialize
@@ -1426,12 +1433,7 @@ class _PlanCompiler:
                 elif linear_premise(self.ctx, op[6], op[7]):
                     self._emit_choice(em, op, item)
                 else:
-                    fn = self._bind_fn(
-                        f"_gen_{op[6]}", self.producer_fn(op[6], op[7])
-                    )
-                    em.emit(
-                        f"{item} = {fn}(_top, {self.args_tuple(op[3])}, _rng)"
-                    )
+                    em.emit(f"{item} = {self._producer_call(op)}")
                 em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
                 em.indent += 1
                 em.emit(f"return {item}")
@@ -1439,11 +1441,11 @@ class _PlanCompiler:
                 for k, dst in enumerate(op[4]):
                     em.emit(f"{self.slot(dst)} = {item}[{k}]")
             else:  # OP_INSTANTIATE
-                gen_fn = self._bind_global(
-                    "_arbg", _make_arbitrary_gen(self.ctx, op[2])
+                draw = self._bind_fn(
+                    "_arbg", datatype_sampler(self.ctx, op[2])
                 )
                 item = self.slot(op[1])
-                em.emit(f"{item} = {gen_fn}(_top, _rng)")
+                em.emit(f"{item} = {draw}(_top, _rng)")
                 em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
                 em.indent += 1
                 em.emit(f"return {item}")
@@ -1453,30 +1455,51 @@ class _PlanCompiler:
         em.emit(f"return ({outs}{trailing})")
         em.indent -= 1
 
+    def _producer_call(self, op: tuple) -> str:
+        """The call of a non-recursive generator ``OP_PRODUCE`` site.
+        A fast twin calls the callee's own fast fixpoint
+        (``__fast_rec__``, raw convention ``(size, top, ins, rng)``)
+        when it has one: the public wrapper would only re-check the
+        hooks the caller's wrapper already found absent.  Memo wrappers
+        and registered instances carry no ``__fast_rec__`` and stay in
+        the path."""
+        fn = self.producer_fn(op[6], op[7])
+        twin = getattr(fn, "__fast_rec__", None) if self.fast else None
+        args = self.args_tuple(op[3])
+        if twin is None:
+            return f"{self._bind_fn(f'_gen_{op[6]}', fn)}(_top, {args}, _rng)"
+        name = self._bind_fn(f"_gen_{op[6]}", twin)
+        return f"{name}(_top, _top, {args}, _rng)"
+
     def _emit_choice(self, em: _Emitter, op: tuple, item: str) -> None:
         """Enumerate-then-choose at a linear premise: run the premise's
         compiled enumerator at ``_top`` and pick one answer.  The fast
-        twin memoizes ``(fuel, ins) -> (answers, marker)`` per site in a
-        dict of at most :data:`CHOICE_MEMO_CAP` entries (cleared when
+        twin memoizes ``(fuel, *ins) -> (answers, marker)`` per site in
+        a dict of at most :data:`CHOICE_MEMO_CAP` entries (cleared when
         full; threads racing past the check may each add one more, and
-        every entry is a pure function of its key).  The instrumented
-        twin recomputes, so its charges, trace and spans stay
+        every entry is a pure function of its key), and on a miss calls
+        the enumerator's fast fixpoint with the key spread as its
+        ``(size, top, *ins)``.  The instrumented twin recomputes through
+        the public wrapper, so its charges, trace and spans stay
         site-for-site with the interpreter."""
         from .instances import ENUM, resolve_compiled
 
-        enum = self._bind_fn(
-            f"_enum_{op[6]}", resolve_compiled(self.ctx, ENUM, op[6], op[7])
-        )
-        args = self.args_tuple(op[3])
+        fn = resolve_compiled(self.ctx, ENUM, op[6], op[7])
+        twin = getattr(fn, "__fast_rec__", None) if self.fast else None
+        enum = self._bind_fn(f"_enum_{op[6]}", fn if twin is None else twin)
         if not self.fast:
+            args = self.args_tuple(op[3])
             em.emit(f"{item} = _choose(_collect({enum}(_top, {args})), _rng)")
             return
         memo = self._bind_global("_memo", {})
-        em.emit(f"_k = (_top, {args})")
+        em.emit(f"_k = (_top, {', '.join(self.boxed(e) for e in op[3])})")
         em.emit(f"_c = {memo}.get(_k)")
         em.emit("if _c is None:")
         em.indent += 1
-        em.emit(f"_c = _collect({enum}(_top, _k[1]))")
+        if twin is not None:
+            em.emit(f"_c = _collect({enum}(_top, *_k))")
+        else:
+            em.emit(f"_c = _collect({enum}(_top, _k[1:]))")
         em.emit(f"if len({memo}) >= {CHOICE_MEMO_CAP}: {memo}.clear()")
         em.emit(f"{memo}[_k] = _c")
         em.indent -= 1
@@ -1540,8 +1563,14 @@ class _PlanCompiler:
 
     def _emit_gen_top(self, em: _Emitter) -> None:
         """Weighted backtracking over the dispatched handlers: each
-        draw is one ``rng.random()`` scaled by the live weights' total,
-        and each handler gets two tries."""
+        draw is one ``rng.random()`` scaled by the live weights' total
+        (a recursive handler weighs ``_size or 1``, any other 1), and
+        each handler gets two tries.  The first draw reads the weights
+        straight off ``_hs``, so a level whose first handler succeeds
+        allocates nothing; the ``_live`` list of ``[handler, tries,
+        weight]`` is built only after a failure, with the failed
+        handler's tries already at 1.  Same totals, same floats, same
+        picks as one loop over ``_live`` from the start."""
         instr = not self.fast
         ins = self._ins_params()
         em.emit("def rec(_size, _top, _ins, _rng):")
@@ -1557,8 +1586,27 @@ class _PlanCompiler:
             )
             em.emit("_na = 0")
         self._emit_size_branch(em, "_fuel")
+        em.emit("if _hs:")
+        em.indent += 1
+        if self.plan.has_recursive:
+            weight = "(_w if {} else 1)"
+            em.emit("_w = _size or 1")
+            em.emit("_total = 0")
+            em.emit("for _h in _hs: _total += _w if _h[1] else 1")
+        else:
+            weight = "1"
+            em.emit("_total = len(_hs)")
+        em.emit("_pick = _rng.random() * _total")
+        em.emit("_acc = 0")
+        em.emit("for _h in _hs:")
+        em.indent += 1
+        em.emit(f"_acc += {weight.format('_h[1]')}")
+        em.emit("if _pick < _acc: break")
+        em.indent -= 1
+        self._emit_gen_attempt(em, *self._gen_exit("OUT_OF_FUEL"))
         em.emit(
-            "_live = [[_h, 2, ((_size if _h[1] else 1) or 1)] for _h in _hs]"
+            f"_live = [[_g, 1 if _g is _h else 2, {weight.format('_g[1]')}]"
+            " for _g in _hs]"
         )
         em.emit("while _live:")
         em.indent += 1
@@ -1572,40 +1620,54 @@ class _PlanCompiler:
         em.emit("if _pick < _acc: break")
         em.indent -= 1
         em.emit("_h = _e[0]")
-        self._emit_site_charge(em, "charge(_h[3])", "_fuel = True", "break")
-        if instr:
-            em.emit("_na += 1")
-        args = "".join(f", {p}" for p in ins)
-        em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
-        if instr:
-            em.emit("if _res is FAIL:")
-            em.indent += 1
-            em.emit("if _tr is not None: _tr.record4(_h[2], False, False)")
-            em.indent -= 1
-            em.emit("elif _res is OUT_OF_FUEL:")
-            em.indent += 1
-            em.emit("_fuel = True")
-            em.emit("if _tr is not None: _tr.record4(_h[2], False, True)")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            em.emit("if _tr is not None: _tr.record4(_h[2], True, False)")
-            em.emit("if _ob is not None: _ob.end_gen(_sp, _res, _na)")
-            em.emit("return _res")
-            em.indent -= 1
-        else:
-            em.emit("if _res is OUT_OF_FUEL: _fuel = True")
-            em.emit("elif _res is not FAIL: return _res")
+        self._emit_gen_attempt(em, "_fuel = True", "break")
         em.emit("_e[1] -= 1")
         em.emit("if _e[1] <= 0: _live.remove(_e)")
+        em.indent -= 2
+        for stmt in self._gen_exit("OUT_OF_FUEL if _fuel else FAIL"):
+            em.emit(stmt)
         em.indent -= 1
-        if instr:
-            em.emit("_res = OUT_OF_FUEL if _fuel else FAIL")
-            em.emit("if _ob is not None: _ob.end_gen(_sp, _res, _na)")
-            em.emit("return _res")
-        else:
-            em.emit("return OUT_OF_FUEL if _fuel else FAIL")
+
+    def _emit_gen_attempt(self, em: _Emitter, *unwind: str) -> None:
+        """One attempt of the drawn handler ``_h``: its charge site
+        (*unwind* on a trip), the call, and the outcome — a value
+        returns, ``OUT_OF_FUEL`` sets ``_fuel``, ``FAIL`` falls through.
+        The instrumented twin counts the attempt and records it, in the
+        order of :func:`~repro.derive.exec_core.run_gen`."""
+        self._emit_site_charge(em, "charge(_h[3])", *unwind)
+        args = "".join(f", {p}" for p in self._ins_params())
+        if self.fast:
+            em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
+            em.emit("if _res is OUT_OF_FUEL: _fuel = True")
+            em.emit("elif _res is not FAIL: return _res")
+            return
+        em.emit("_na += 1")
+        em.emit(f"_res = _h[0](_sz1, _top, _rng{args})")
+        em.emit("if _res is FAIL:")
+        em.indent += 1
+        em.emit("if _tr is not None: _tr.record4(_h[2], False, False)")
         em.indent -= 1
+        em.emit("elif _res is OUT_OF_FUEL:")
+        em.indent += 1
+        em.emit("_fuel = True")
+        em.emit("if _tr is not None: _tr.record4(_h[2], False, True)")
+        em.indent -= 1
+        em.emit("else:")
+        em.indent += 1
+        em.emit("if _tr is not None: _tr.record4(_h[2], True, False)")
+        em.emit("if _ob is not None: _ob.end_gen(_sp, _res, _na)")
+        em.emit("return _res")
+        em.indent -= 1
+
+    def _gen_exit(self, result: str) -> tuple[str, ...]:
+        """The statements ending a generator level with *result*."""
+        if self.fast:
+            return (f"return {result}",)
+        return (
+            f"_res = {result}",
+            "if _ob is not None: _ob.end_gen(_sp, _res, _na)",
+            "return _res",
+        )
 
 
 def _uncompiled_rec(*args):
@@ -1667,14 +1729,6 @@ def _make_arbitrary_enum(ctx: Context, ty: TypeExpr):
             yield OUT_OF_FUEL
 
     arbitrary.__name__ = f"arbitrary_{mangle(ty)}"
-    return arbitrary
-
-
-def _make_arbitrary_gen(ctx: Context, ty: TypeExpr):
-    def arbitrary(fuel: int, rng):
-        return _gen_value(ctx, ty, fuel, rng)
-
-    arbitrary.__name__ = f"arbitrary_gen_{mangle(ty)}"
     return arbitrary
 
 

@@ -64,7 +64,7 @@ from typing import Any, Iterator
 
 from ..core.context import Context
 from ..core.values import Value
-from ..producers.combinators import _enum_values, _gen_value, slice_exhaustive
+from ..producers.combinators import _enum_values, datatype_sampler, slice_exhaustive
 from ..producers.option_bool import (
     NONE_OB,
     SOME_FALSE,
@@ -696,7 +696,7 @@ def _gen_handler(
             for k, dst in enumerate(op[4]):
                 env[dst] = produced[k]
         else:  # OP_INSTANTIATE
-            value = _gen_value(ctx, op[2], top, rng)
+            value = datatype_sampler(ctx, op[2])(top, rng)
             if value is FAIL or value is OUT_OF_FUEL:
                 return value
             env[op[1]] = value

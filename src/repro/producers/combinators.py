@@ -12,7 +12,11 @@ Two ingredients of Section 4 live here:
    a generic sized enumerator and random generator of *arbitrary*
    inhabitants (QuickChick's ``Enum``/``Gen`` typeclass instances,
    derived from the datatype declaration).  These instantiate
-   existential variables whose values no premise constrains.
+   existential variables whose values no premise constrains.  The
+   random side is one compiled sampler per type instantiation and
+   context (:func:`datatype_sampler`), shared by :func:`gen_datatype`,
+   the plan interpreter, the compiled generators and the validation
+   domains.
 
 Size discipline: a value produced at size ``s`` has constructor depth
 at most ``s + 1``; both producers emit :data:`OUT_OF_FUEL` when the
@@ -29,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator
 from ..core.context import Context
 from ..core.datatypes import DataType
 from ..core.errors import DeclarationError
-from ..core.types import Ty, TypeExpr, TyVar
+from ..core.types import Ty, TypeExpr, TyVar, mangle
 from ..core.values import Value
 from .enumerators import Enumerator
 from .generators import Generator
@@ -185,55 +189,101 @@ def gen_datatype(ctx: Context, ty: TypeExpr) -> Generator:
     constructor is available at this size (but the type is inhabited
     at larger sizes), and ``FAIL`` for genuinely empty types.
     """
+    return Generator(datatype_sampler(ctx, ty))
+
+
+def datatype_sampler(
+    ctx: Context, ty: TypeExpr
+) -> Callable[[int, random.Random], Any]:
+    """The compiled sampler ``draw(size, rng)`` of *ty*, one per
+    instantiation per context (``list nat`` and ``list bool`` get
+    separate ones).
+
+    Each constructor's argument samplers are resolved when the sampler
+    is built, and nullary constructors are returned as shared
+    constants.  A draw picks a candidate with ``rng.randrange`` and
+    draws its arguments at size − 1; an argument that fails discards
+    that constructor and the draw picks again among the rest (the
+    candidate list is copied only then).  Recursive types refer to
+    their own sampler, so every sampler reachable from *ty* is built
+    under ``ctx._derive_lock`` and published only once all of them are
+    complete: a racing thread never sees a half-filled table.
+    """
+    samplers = ctx.artifacts.get("gen_samplers")
+    if samplers is not None:
+        draw = samplers.get(ty)
+        if draw is not None:
+            return draw
+    with ctx._derive_lock:
+        samplers = ctx.artifacts.setdefault("gen_samplers", {})
+        draw = samplers.get(ty)
+        if draw is None:
+            built: dict = {}
+            draw = _build_sampler(ctx, ty, samplers, built)
+            samplers.update(built)
+    return draw
+
+
+def _build_sampler(ctx: Context, ty: TypeExpr, published: dict, built: dict):
     dt, ty_args = _require_datatype(ctx, ty)
+    # Candidates are (constant, ()) for a nullary constructor and
+    # (name, argument samplers) otherwise; filled in below, once the
+    # sampler itself is in *built* for recursive occurrences to find.
+    base = full = ()
 
-    def run(size: int, rng: random.Random) -> Any:
-        return _gen_value(ctx, ty, size, rng)
-
-    return Generator(run)
-
-
-def _gen_tables(ctx: Context, ty: TypeExpr) -> tuple:
-    """``(base, full)`` for *ty*: its nullary constructors and all of
-    them, each as ``(name, arg_types)`` at *ty*'s instantiation,
-    resolved once per context."""
-    cache = ctx.artifacts.setdefault("gen_ctor_tables", {})
-    tables = cache.get(ty)
-    if tables is None:
-        dt, ty_args = _require_datatype(ctx, ty)
-        full = tuple(
-            (c.name, dt.constructor_arg_types(c.name, ty_args))
-            for c in dt.constructors
-        )
-        base = tuple(
-            entry for entry, c in zip(full, dt.constructors) if not c.arg_types
-        )
-        tables = cache[ty] = (base, full)
-    return tables
-
-
-def _gen_value(ctx: Context, ty: TypeExpr, size: int, rng: random.Random) -> Any:
-    base, full = _gen_tables(ctx, ty)
-    candidates = base if size == 0 else full
-    if not candidates:
-        return OUT_OF_FUEL if full else FAIL
-    # Retry within the candidate set: an inner OUT_OF_FUEL (an argument
-    # type with no small inhabitants) discards that constructor.
-    options = list(candidates)
-    saw_fuel = False
-    while options:
-        ctor = options[rng.randrange(len(options))]
-        name, arg_tys = ctor
+    def draw(size: int, rng: random.Random) -> Any:
+        cands = base if size == 0 else full
+        if not cands:
+            return OUT_OF_FUEL if full else FAIL
+        entry = cands[rng.randrange(len(cands))]
+        subs = entry[1]
+        if not subs:
+            return entry[0]
         args = []
-        failed = False
-        for at in arg_tys:
-            sub = _gen_value(ctx, at, size - 1, rng)
-            if not is_value(sub):
-                saw_fuel = saw_fuel or sub is OUT_OF_FUEL
-                failed = True
+        for sub in subs:
+            v = sub(size - 1, rng)
+            if v is FAIL or v is OUT_OF_FUEL:
+                return _redraw(cands, entry, v is OUT_OF_FUEL, size, rng)
+            args.append(v)
+        return Value(entry[0], tuple(args))
+
+    draw.__name__ = draw.__qualname__ = f"sample_{mangle(ty)}"
+    built[ty] = draw
+    entries = []
+    for c in dt.constructors:
+        subs = tuple(
+            built.get(at)
+            or published.get(at)
+            or _build_sampler(ctx, at, published, built)
+            for at in dt.constructor_arg_types(c.name, ty_args)
+        )
+        entries.append((c.name, subs) if subs else (Value(c.name), ()))
+    full = tuple(entries)
+    base = tuple(e for e in full if not e[1])
+    return draw
+
+
+def _redraw(
+    cands: tuple, failed: tuple, saw_fuel: bool, size: int, rng: random.Random
+) -> Any:
+    """The rest of a draw whose first candidate, *failed*, drew an
+    argument that was not a value: pick again among the others, each
+    discarded in turn, until one succeeds."""
+    options = list(cands)
+    options.remove(failed)
+    while options:
+        entry = options[rng.randrange(len(options))]
+        name, subs = entry
+        if not subs:
+            return name
+        args = []
+        for sub in subs:
+            v = sub(size - 1, rng)
+            if v is FAIL or v is OUT_OF_FUEL:
+                saw_fuel = saw_fuel or v is OUT_OF_FUEL
                 break
-            args.append(sub)
-        if not failed:
+            args.append(v)
+        else:
             return Value(name, tuple(args))
-        options.remove(ctor)
+        options.remove(entry)
     return OUT_OF_FUEL if saw_fuel else FAIL

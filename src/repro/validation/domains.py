@@ -21,7 +21,7 @@ from ..core.context import Context
 from ..core.relations import Relation
 from ..core.terms import Var
 from ..core.values import Value
-from ..producers.combinators import _enum_values, _gen_value
+from ..producers.combinators import _enum_values, datatype_sampler
 from ..producers.outcome import is_value
 from ..semantics.proof_search import FlounderError, SearchConfig, solutions
 from .obligations import ValidationConfig
@@ -65,7 +65,7 @@ def random_tuples(
     for _ in range(count):
         args = []
         for t in rel.arg_types:
-            v = _gen_value(ctx, t, cfg.domain_depth + 2, rng)
+            v = datatype_sampler(ctx, t)(cfg.domain_depth + 2, rng)
             if not is_value(v):
                 break
             args.append(v)

@@ -710,3 +710,69 @@ class TestLazyCompilation:
             inline.tests_run, inline.discards, inline.failed, inline.labels
         )
         assert inline.failed and inline.tests_run == 60
+
+
+#: The Figure 3 derived generators with a callee: STLC ``typing``@ioi
+#: chooses among ``lookup``@ioi answers, IFC ``indist_list``@io draws
+#: from ``indist_atom``@io.
+FIG3_GEN_CALLEES = [
+    ("stlc", "typing", "ioi", ENUM, "lookup", "ioi"),
+    ("ifc", "indist_list", "io", GEN, "indist_atom", "io"),
+]
+
+
+class TestGeneratorTwinCalls:
+    """A fast generator twin calls its callees' fast fixpoints; the
+    instrumented twin keeps the public wrappers, so hooks reach every
+    callee site."""
+
+    @pytest.mark.parametrize("study,rel,mode,kind,callee,cmode", FIG3_GEN_CALLEES)
+    def test_fast_twin_calls_no_public_wrapper(
+        self, study, rel, mode, kind, callee, cmode
+    ):
+        import importlib
+
+        ctx = importlib.import_module(f"repro.casestudies.{study}").make_context()
+        gen = resolve_compiled(ctx, GEN, rel, Mode.from_string(mode))
+        target = resolve_compiled(ctx, kind, callee, Mode.from_string(cmode))
+
+        def bound(fixpoint) -> dict:
+            return {k: v for k, v in fixpoint.__globals__.items()
+                    if k.startswith(f"_{kind}_{callee}")}
+
+        fast, slow = bound(gen.__fast_rec__), bound(gen.__wrapped_rec__)
+        assert list(fast.values()) == [target.__fast_rec__]
+        assert list(slow.values()) == [target]
+        (name,) = fast
+        assert f"{name}(_top, " in gen.__fast_rec__.__derived_source__
+        wrappers = [k for k, v in gen.__fast_rec__.__globals__.items()
+                    if getattr(v, "__name__", None) in ("gen_st", "enum_st")]
+        assert not wrappers
+
+    def test_instrumented_twin_reaches_callee_sites_under_faults(self):
+        """Seeded fault schedules under ``profile``: the charges and the
+        callee's trace entries are the ones the public-wrapper calls of
+        the earlier emitter produced."""
+        from repro.casestudies import ifc
+        from repro.derive.trace import profile
+        from repro.resilience import FaultPlan, budget_scope
+
+        ctx = ifc.make_context()
+        gen = resolve_compiled(ctx, GEN, "indist_list", Mode.from_string("io"))
+        mem = ifc.mem_to_value([(1, "L"), (2, "H"), (0, "L"), (3, "H")])
+        ops = injected = misses = 0
+        with profile(ctx) as trace:
+            for seed in range(30):
+                plan = FaultPlan.seeded(seed, n_events=3, horizon=120)
+                with budget_scope(ctx, faults=plan, check_every=1) as bud:
+                    out = gen(8, (mem,), random.Random(seed))
+                ops += bud.ops
+                injected += bud.injected
+                misses += not is_value(out)
+        assert (ops, injected, misses) == (1232, 8, 12)
+        assert sorted(trace.entries.items()) == [
+            (("gen", "indist_atom", "io", "ia_high"), [71, 40, 31, 0]),
+            (("gen", "indist_atom", "io", "ia_low"), [79, 49, 30, 0]),
+            (("gen", "indist_list", "io", "il_cons"), [99, 72, 27, 27]),
+            (("gen", "indist_list", "io", "il_nil"), [18, 18, 0, 0]),
+        ]

@@ -12,6 +12,7 @@ from repro.producers.combinators import (
     bind_CE,
     bind_CG,
     bind_EC,
+    datatype_sampler,
     enum_datatype,
     gen_datatype,
     slice_exhaustive,
@@ -19,7 +20,7 @@ from repro.producers.combinators import (
 from repro.producers.enumerators import Enumerator
 from repro.producers.generators import Generator
 from repro.producers.option_bool import NONE_OB, SOME_FALSE, SOME_TRUE
-from repro.producers.outcome import OUT_OF_FUEL, is_value
+from repro.producers.outcome import FAIL, OUT_OF_FUEL, is_value
 from repro.stdlib import standard_context
 
 
@@ -148,3 +149,165 @@ class TestGenDatatype:
         allowed = enum_datatype(ctx, ty).outcomes(size)
         v = gen_datatype(ctx, ty).run(size, random.Random(seed))
         assert v in allowed
+
+
+# ---------------------------------------------------------------------------
+# Compiled samplers.
+# ---------------------------------------------------------------------------
+
+
+def reference_gen_value(ctx, ty, size, rng):
+    """The table-walking sampler the compiled ones replaced, kept as
+    the reference for their draws: constructor tables resolved per
+    call, a fresh candidate list per draw, ``rng.randrange`` to pick."""
+    dt = ctx.datatypes.get(ty.name)
+    full = [(c.name, dt.constructor_arg_types(c.name, ty.args)) for c in dt.constructors]
+    base = [e for e, c in zip(full, dt.constructors) if not c.arg_types]
+    candidates = base if size == 0 else full
+    if not candidates:
+        return OUT_OF_FUEL if full else FAIL
+    options = list(candidates)
+    saw_fuel = False
+    while options:
+        ctor = options[rng.randrange(len(options))]
+        name, arg_tys = ctor
+        args = []
+        failed = False
+        for at in arg_tys:
+            sub = reference_gen_value(ctx, at, size - 1, rng)
+            if not is_value(sub):
+                saw_fuel = saw_fuel or sub is OUT_OF_FUEL
+                failed = True
+                break
+            args.append(sub)
+        if not failed:
+            return Value(name, tuple(args))
+        options.remove(ctor)
+    return OUT_OF_FUEL if saw_fuel else FAIL
+
+
+def sampled_types(ctx):
+    """Every datatype of *ctx*, a parametric one once per monomorphic
+    type of *ctx* in every parameter, plus a nested and a mixed
+    instantiation."""
+    monos = [Ty(d.name) for d in ctx.datatypes if not d.params]
+    return monos + [
+        Ty(d.name, (m,) * len(d.params))
+        for d in ctx.datatypes if d.params for m in monos
+    ] + [Ty("list", (Ty("list", (NAT,)),)), Ty("prod", (NAT, BOOL))]
+
+
+def parity_contexts():
+    """The standard library's types, then each case study's own."""
+    from repro.casestudies import bst, ifc, stlc
+
+    std = standard_context()
+    std_types = sampled_types(std)
+    yield "stdlib", std, std_types
+    for mod in (bst, stlc, ifc):
+        ctx = mod.make_context()
+        yield mod.__name__, ctx, [
+            t for t in sampled_types(ctx) if t not in std_types
+        ]
+
+
+class TestDatatypeSampler:
+    def test_parity_with_reference_draws(self):
+        """Same values, same RNG state after every draw: every datatype
+        of the standard library and the case studies, sizes 0-6, 200
+        seeds each."""
+        for label, ctx, types in parity_contexts():
+            assert types, label
+            for ty in types:
+                draw = datatype_sampler(ctx, ty)
+                for size in range(7):
+                    for seed in range(200):
+                        ra, rb = random.Random(seed), random.Random(seed)
+                        want = reference_gen_value(ctx, ty, size, ra)
+                        got = draw(size, rb)
+                        assert got == want, (label, ty, size, seed)
+                        assert ra.getstate() == rb.getstate(), (label, ty, size, seed)
+
+    def test_empty_and_nullary_free_types(self):
+        from repro.core import parse_declarations
+
+        ctx = standard_context()
+        parse_declarations(ctx, """
+        Inductive void : Type := .
+        Inductive stream : Type :=
+        | SCons : nat -> stream -> stream.
+        Inductive wrap : Type :=
+        | W : void -> wrap.
+        """)
+        rng = random.Random(0)
+        for size in range(5):
+            assert datatype_sampler(ctx, Ty("void"))(size, rng) is FAIL
+            assert datatype_sampler(ctx, Ty("stream"))(size, rng) is OUT_OF_FUEL
+        wrap = datatype_sampler(ctx, Ty("wrap"))
+        assert wrap(0, rng) is OUT_OF_FUEL  # no nullary constructor
+        assert wrap(3, rng) is FAIL  # its only constructor needs a void
+
+    def test_one_sampler_per_instantiation(self):
+        ctx = standard_context()
+        nats = datatype_sampler(ctx, Ty("list", (NAT,)))
+        bools = datatype_sampler(ctx, Ty("list", (BOOL,)))
+        assert nats is not bools
+        assert datatype_sampler(ctx, Ty("list", (NAT,))) is nats
+        rng = random.Random(3)
+        for _ in range(50):
+            assert ctx.datatypes.check_value(nats(4, rng), Ty("list", (NAT,)))
+            assert ctx.datatypes.check_value(bools(4, rng), Ty("list", (BOOL,)))
+
+    def test_nullary_constructors_are_shared_constants(self):
+        ctx = standard_context()
+        draw = datatype_sampler(ctx, NAT)
+        zeros = [draw(0, random.Random(s)) for s in range(5)]
+        assert all(z is zeros[0] for z in zeros)
+
+    def test_racing_first_use_sees_complete_samplers(self, monkeypatch):
+        """8 threads ask for a recursive type's sampler at once, with
+        the build slowed down: each gets the one complete sampler, and
+        draws what a sampler built alone draws."""
+        import sys
+        import threading
+        import time
+
+        from repro.core.datatypes import DataType
+
+        ty = Ty("list", (Ty("option", (NAT,)),))
+        alone = datatype_sampler(standard_context(), ty)
+        want = [alone(5, random.Random(s)) for s in range(40)]
+        real = DataType.constructor_arg_types
+
+        def slow(self, name, type_args=()):
+            time.sleep(0.002)
+            return real(self, name, type_args)
+
+        monkeypatch.setattr(DataType, "constructor_arg_types", slow)
+        ctx = standard_context()
+        barrier = threading.Barrier(8)
+        got, errors = [], []
+
+        def worker():
+            barrier.wait()
+            try:
+                draw = datatype_sampler(ctx, ty)
+                got.append((draw, [draw(5, random.Random(s)) for s in range(40)]))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(got) == 8
+        assert len({id(draw) for draw, _ in got}) == 1
+        assert all(values == want for _, values in got)
