@@ -63,7 +63,12 @@ after a failure).  At a non-recursive premise whose plan is linear
 premise with its compiled enumerator and chooses one answer
 (:func:`~repro.derive.exec_core.choose`); the fast twin memoizes each
 such site's ``(fuel, *ins) -> (answers, marker)`` in a dict of at most
-:data:`CHOICE_MEMO_CAP` entries.  Every other generator site calls
+:data:`CHOICE_MEMO_CAP` entries.  It folds the run of checks right
+after such a site into the entry: the checks' combined verdict on an
+answer is computed on its first pick and kept beside it, so BST's
+``check lt k hi`` runs once per key and answer instead of once per
+draw, with the same draws (:meth:`_PlanCompiler._emit_choice`).
+Every other generator site calls
 compiled code directly: ``OP_INSTANTIATE`` binds the type's sampler
 (:func:`~repro.producers.combinators.datatype_sampler`), and a fast
 twin binds its callees' fast fixpoints (``__fast_rec__``) rather than
@@ -1400,7 +1405,9 @@ class _PlanCompiler:
     def _emit_gen_handler(self, em: _Emitter, h: PlanHandler) -> None:
         em.emit(f"def _h_{h.index}({self._handler_params()}):")
         em.indent += 1
-        for i, op in enumerate(h.ops):
+        ops, i = h.ops, 0
+        while i < len(ops):
+            op = ops[i]
             tag = op[0]
             if tag == OP_EVAL:
                 em.emit(f"{self.slot(op[1])} = {self.expr(op[2])}")
@@ -1408,14 +1415,12 @@ class _PlanCompiler:
                 self._emit_test(em, op, "return FAIL")
             elif tag == OP_CHECK:
                 r = f"_r{i}"
-                fn = self._bind_fn(f"_chk_{op[4]}", self.checker_fn(op[4]))
-                em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
-                if op[3]:
-                    em.emit(f"{r} = _negate({r})")
-                em.emit(f"if {r} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"return OUT_OF_FUEL if {r} is NONE_OB else FAIL")
-                em.indent -= 1
+                self._emit_gen_check(em, op, r)
+                self._emit_if(
+                    em,
+                    f"{r} is not SOME_TRUE",
+                    f"return OUT_OF_FUEL if {r} is NONE_OB else FAIL",
+                )
             elif tag == OP_RECCHECK:
                 raise AssertionError(
                     "producer schedules never contain recursive checker calls"
@@ -1431,29 +1436,41 @@ class _PlanCompiler:
                         f"{self.args_tuple(op[3])}, _rng)"
                     )
                 elif linear_premise(self.ctx, op[6], op[7]):
-                    self._emit_choice(em, op, item)
+                    checks = self._folded_checks(ops, i + 1)
+                    self._emit_choice(em, op, item, checks)
+                    i += 1 + len(checks)
+                    continue
                 else:
                     em.emit(f"{item} = {self._producer_call(op)}")
-                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit(f"return {item}")
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
+                self._emit_gen_outs(em, op, item)
             else:  # OP_INSTANTIATE
                 draw = self._bind_fn(
                     "_arbg", datatype_sampler(self.ctx, op[2])
                 )
                 item = self.slot(op[1])
                 em.emit(f"{item} = {draw}(_top, _rng)")
-                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit(f"return {item}")
-                em.indent -= 1
+                self._emit_if(
+                    em, f"{item} is FAIL or {item} is OUT_OF_FUEL", f"return {item}"
+                )
+            i += 1
         outs = ", ".join(self.expr(e) for e in h.out_exprs)
         trailing = "," if len(h.out_exprs) == 1 else ""
         em.emit(f"return ({outs}{trailing})")
         em.indent -= 1
+
+    def _emit_gen_check(self, em: _Emitter, op: tuple, r: str) -> None:
+        """``r = `` the verdict of an ``OP_CHECK`` site, negation applied."""
+        fn = self._bind_fn(f"_chk_{op[4]}", self.checker_fn(op[4]))
+        em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
+        if op[3]:
+            em.emit(f"{r} = _negate({r})")
+
+    def _emit_gen_outs(self, em: _Emitter, op: tuple, item: str) -> None:
+        """Return a producer's ``FAIL``/``OUT_OF_FUEL``, else bind its
+        outputs."""
+        self._emit_if(em, f"{item} is FAIL or {item} is OUT_OF_FUEL", f"return {item}")
+        for k, dst in enumerate(op[4]):
+            em.emit(f"{self.slot(dst)} = {item}[{k}]")
 
     def _producer_call(self, op: tuple) -> str:
         """The call of a non-recursive generator ``OP_PRODUCE`` site.
@@ -1471,17 +1488,49 @@ class _PlanCompiler:
         name = self._bind_fn(f"_gen_{op[6]}", twin)
         return f"{name}(_top, _top, {args}, _rng)"
 
-    def _emit_choice(self, em: _Emitter, op: tuple, item: str) -> None:
+    def _folded_checks(self, ops: tuple, j: int) -> tuple:
+        """The run of ``OP_CHECK`` ops from ``ops[j]`` on, which a fast
+        twin folds into the chooser site just before it."""
+        if not self.fast:
+            return ()
+        end = j
+        while end < len(ops) and ops[end][0] == OP_CHECK:
+            end += 1
+        return ops[j:end]
+
+    def _emit_choice(
+        self, em: _Emitter, op: tuple, item: str, checks: tuple
+    ) -> None:
         """Enumerate-then-choose at a linear premise: run the premise's
-        compiled enumerator at ``_top`` and pick one answer.  The fast
-        twin memoizes ``(fuel, *ins) -> (answers, marker)`` per site in
-        a dict of at most :data:`CHOICE_MEMO_CAP` entries (cleared when
-        full; threads racing past the check may each add one more, and
-        every entry is a pure function of its key), and on a miss calls
-        the enumerator's fast fixpoint with the key spread as its
-        ``(size, top, *ins)``.  The instrumented twin recomputes through
-        the public wrapper, so its charges, trace and spans stay
-        site-for-site with the interpreter."""
+        compiled enumerator at ``_top`` and pick one answer.  The
+        instrumented twin recomputes through the public wrapper, so its
+        charges, trace and spans stay site-for-site with the
+        interpreter.
+
+        The fast twin memoizes each site in a dict of at most
+        :data:`CHOICE_MEMO_CAP` entries (cleared when full; threads
+        racing past the check may each add one more, and every entry is
+        a pure function of its key), and on a miss calls the
+        enumerator's fast fixpoint with the key's head spread as its
+        ``(size, top, *ins)``.  Without *checks* the entry is
+        ``(fuel, *ins) -> (answers, marker)``.
+
+        *checks* is the run of ``OP_CHECK`` ops right after the site
+        (:meth:`_folded_checks`).  Folded into the site, they extend the
+        key by the slots they read that were bound before it, and the
+        entry to ``(answers, marker, verdicts)``: the first pick of
+        answer ``j`` runs the checks in op order, negation applied, and
+        stores the first result that is not ``SOME_TRUE`` in
+        ``verdicts[j]`` (``SOME_TRUE`` when every check passes).  The
+        pick is ``_choose``'s one ``rng.random()``, and a verdict other
+        than ``SOME_TRUE`` returns what the check would have, so values
+        and draws are the unfolded site's; a check runs at most once
+        per key and answer, and only for an answer that was picked.
+        Folded sites pass their answers through a per-site table of
+        canonical answers, so equal answers are one object and a later
+        key holding one compares by identity.  The table is cleared
+        with the memo, also when the next answers would take it past
+        the cap."""
         from .instances import ENUM, resolve_compiled
 
         fn = resolve_compiled(self.ctx, ENUM, op[6], op[7])
@@ -1490,20 +1539,82 @@ class _PlanCompiler:
         if not self.fast:
             args = self.args_tuple(op[3])
             em.emit(f"{item} = _choose(_collect({enum}(_top, {args})), _rng)")
+            self._emit_gen_outs(em, op, item)
             return
         memo = self._bind_global("_memo", {})
-        em.emit(f"_k = (_top, {', '.join(self.boxed(e) for e in op[3])})")
+        ins = [self.boxed(e) for e in op[3]]
+        reads = self._check_reads(op, checks)
+        em.emit(f"_k = (_top, {', '.join(ins + reads)})")
         em.emit(f"_c = {memo}.get(_k)")
         em.emit("if _c is None:")
         em.indent += 1
+        head = f"_k[:{len(ins) + 1}]" if reads else "_k"
         if twin is not None:
-            em.emit(f"_c = _collect({enum}(_top, *_k))")
+            call = f"{enum}(_top, *{head})"
         else:
-            em.emit(f"_c = _collect({enum}(_top, _k[1:]))")
-        em.emit(f"if len({memo}) >= {CHOICE_MEMO_CAP}: {memo}.clear()")
-        em.emit(f"{memo}[_k] = _c")
+            call = f"{enum}(_top, {head}[1:])"
+        if not checks:
+            em.emit(f"_c = _collect({call})")
+            em.emit(f"if len({memo}) >= {CHOICE_MEMO_CAP}: {memo}.clear()")
+            em.emit(f"{memo}[_k] = _c")
+            em.indent -= 1
+            em.emit(f"{item} = _choose(_c, _rng)")
+            self._emit_gen_outs(em, op, item)
+            return
+        canon = self._bind_global("_canon", {})
+        em.emit(f"_a, _m = _collect({call})")
+        self._emit_if(
+            em,
+            f"len({memo}) >= {CHOICE_MEMO_CAP} "
+            f"or len({canon}) + len(_a) > {CHOICE_MEMO_CAP}",
+            f"{memo}.clear()",
+            f"{canon}.clear()",
+        )
+        em.emit(f"_a = tuple([{canon}.setdefault(_x, _x) for _x in _a])")
+        em.emit(f"_c = {memo}[_k] = (_a, _m, [None] * len(_a))")
         em.indent -= 1
-        em.emit(f"{item} = _choose(_c, _rng)")
+        em.emit("_a = _c[0]")
+        em.emit("if not _a: return OUT_OF_FUEL if _c[1] else FAIL")
+        em.emit("_j = int(_rng.random() * len(_a))")
+        em.emit(f"{item} = _a[_j]")
+        for k, dst in enumerate(op[4]):
+            em.emit(f"{self.slot(dst)} = {item}[{k}]")
+        em.emit("_v = _c[2][_j]")
+        em.emit("if _v is None:")
+        em.indent += 1
+        for n, check in enumerate(checks):
+            if n:
+                em.emit("if _v is SOME_TRUE:")
+                em.indent += 1
+            self._emit_gen_check(em, check, "_v")
+        em.indent -= len(checks) - 1
+        em.emit("_c[2][_j] = _v")
+        em.indent -= 1
+        self._emit_if(
+            em,
+            "_v is not SOME_TRUE",
+            "return OUT_OF_FUEL if _v is NONE_OB else FAIL",
+        )
+
+    def _check_reads(self, op: tuple, checks: tuple) -> list[str]:
+        """The slots *checks* read that were bound before the chooser
+        site *op*: neither its outputs nor already among its inputs."""
+        seen = set(op[4]) | {e[1] for e in op[3] if e[0] == X_SLOT}
+        reads: list[int] = []
+
+        def visit(e: tuple) -> None:
+            if e[0] == X_SLOT:
+                if e[1] not in seen:
+                    seen.add(e[1])
+                    reads.append(e[1])
+            elif e[0] != X_CONST:
+                for a in e[2]:
+                    visit(a)
+
+        for check in checks:
+            for e in check[2]:
+                visit(e)
+        return [self.slot(s) for s in reads]
 
     # .. the enumerator and generator fixpoints ..................................
 

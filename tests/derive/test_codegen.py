@@ -271,6 +271,74 @@ def gen_source(gen_st) -> str:
     return gen_st.__derived_source__ + gen_st.__fast_rec__.__derived_source__
 
 
+#: Chooser sites followed by checks, which fast twins fold into the
+#: site's memo: a negated check, a check that runs out of fuel at
+#: ``_top`` (``le k 9``), and a run of two checks, the second reading
+#: ``lo``, bound before the site by the input pattern.
+FOLD_DECLS = """
+Inductive fold_neg : nat -> nat -> nat -> Prop :=
+| fneg : forall lo hi k, le lo k -> ~ (le hi k) -> fold_neg lo hi k.
+
+Inductive fold_fuel : nat -> nat -> Prop :=
+| ffuel : forall lo k, le lo k -> le k 9 -> fold_fuel lo k.
+
+Inductive fold_two : nat -> nat -> nat -> Prop :=
+| ftwo : forall lo hi k,
+    le hi k -> ev k -> le k (S (S lo)) -> fold_two (S lo) hi k.
+"""
+
+#: relation -> (mode, its inputs drawn from an rng)
+FOLD_CASES = {
+    "fold_neg": ("iio", lambda r: (from_int(r.randrange(4)), from_int(r.randrange(7)))),
+    "fold_fuel": ("io", lambda r: (from_int(r.randrange(5)),)),
+    "fold_two": ("iio", lambda r: (from_int(r.randrange(5)), from_int(r.randrange(6)))),
+}
+
+
+def fold_ctx(nat_ctx):
+    parse_declarations(nat_ctx, FOLD_DECLS)
+    return nat_ctx
+
+
+def site_tables(gen_st) -> tuple:
+    """The memo and canonical-answer table of a fast twin's one folded
+    chooser site."""
+    names = gen_st.__fast_rec__.__globals__
+    (memo,) = [v for k, v in names.items() if k.startswith("_memo")]
+    (canon,) = [v for k, v in names.items() if k.startswith("_canon")]
+    return memo, canon
+
+
+def seeded_draws(gen, draw_ins, seeds=range(300)) -> list:
+    """One draw per seed at fuel ``seed % 6``, inputs from *draw_ins*:
+    each value with the random state it leaves."""
+    runs = []
+    for seed in seeds:
+        ins = draw_ins(random.Random(10_000 + seed))
+        rng = random.Random(seed)
+        runs.append((gen(seed % 6, ins, rng), rng.getstate()))
+    return runs
+
+
+def race(worker, offsets) -> None:
+    """Run *worker* on one thread per offset with a short switch
+    interval, and wait for all of them."""
+    import sys
+    import threading
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(o,)) for o in offsets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
 class TestChooserSites:
     """Enumerate-then-choose at linear premises: ``pick_var``@iio calls
     ``lookup``@ioi, which its generator enumerates and chooses from."""
@@ -445,13 +513,43 @@ class TestChooserSites:
             assert len(memo) <= CHOICE_MEMO_CAP
         assert memo
 
+    def test_fast_memo_is_bounded_at_folded_site(self, nat_ctx):
+        """A folded site's memo and canonical answers stay within the
+        cap and are cleared together; equal answers are one object."""
+        from repro.derive.codegen import CHOICE_MEMO_CAP
+
+        ctx = fold_ctx(nat_ctx)
+        iio = Mode.from_string("iio")
+        gen = resolve_compiled(ctx, GEN, "fold_neg", iio)
+        interp = resolve(ctx, GEN, "fold_neg", iio).fn
+        fast = gen.__fast_rec__
+        memo, canon = site_tables(gen)
+        clears = 0
+        for i in range(10 * CHOICE_MEMO_CAP):
+            # lo takes 300 values, so the answers alone outgrow the cap.
+            ins = (from_int(i % 300), from_int(i % 7))
+            before = len(memo)
+            got = fast(2, 2, ins, random.Random(i))
+            assert got == interp(2, ins, random.Random(i))
+            assert len(memo) <= CHOICE_MEMO_CAP
+            assert len(canon) <= CHOICE_MEMO_CAP
+            if len(memo) < before:
+                clears += 1
+                ((answers, _, _),) = memo.values()
+                assert len(canon) == len(answers)
+        assert clears
+        memo.clear()
+        canon.clear()
+        for hi in (5, 6):
+            fast(2, 2, (from_int(1), from_int(hi)), random.Random(hi))
+        first, second = memo.values()
+        assert first[0] == second[0]
+        assert all(a is b for a, b in zip(first[0], second[0]))
+
     def test_fast_memo_under_concurrent_callers(self, stlc_ctx):
         """Engine workers share one compiled generator: its memo may
         overshoot the cap by one entry per racing thread, never answer
         wrongly."""
-        import sys
-        import threading
-
         from repro.derive.codegen import CHOICE_MEMO_CAP
 
         ctx = chooser_ctx(stlc_ctx)
@@ -468,23 +566,49 @@ class TestChooserSites:
                     bad.append(fuel)
                 sizes.append(len(memo))
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(1 + k * 97,))
-                for k in range(n_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
+        race(worker, [1 + k * 97 for k in range(n_threads)])
         assert not bad
         assert len(sizes) == n_threads * 2 * CHOICE_MEMO_CAP
         assert max(sizes) <= CHOICE_MEMO_CAP + n_threads
+
+    def test_fast_memo_under_concurrent_callers_at_folded_site(self, nat_ctx):
+        """Racing callers of a folded site share keys, so they race on
+        its verdict slots too: a write may repeat a verdict, never
+        change an answer or a verdict."""
+        from repro.derive.codegen import CHOICE_MEMO_CAP
+        from repro.derive.exec_core import collect_answers
+        from repro.producers.option_bool import negate
+
+        ctx = fold_ctx(nat_ctx)
+        iio = Mode.from_string("iio")
+        gen = resolve_compiled(ctx, GEN, "fold_neg", iio)
+        interp = resolve(ctx, GEN, "fold_neg", iio).fn
+        fast = gen.__fast_rec__
+        memo, canon = site_tables(gen)
+        n_threads, span, sizes, bad = 4, 2 * CHOICE_MEMO_CAP, [], []
+        offsets = [1 + k * 7 for k in range(n_threads)]
+        zero = from_int(0)
+        his = {h: from_int(h) for h in range(1, offsets[-1] + span)}
+        want = {h: interp(3, (zero, v), random.Random(h)) for h, v in his.items()}
+
+        def worker(offset):
+            for h in range(offset, offset + span):
+                if fast(3, 3, (zero, his[h]), random.Random(h)) != want[h]:
+                    bad.append(h)
+                sizes.append((len(memo), len(canon)))
+
+        race(worker, offsets)
+        assert not bad
+        assert len(sizes) == n_threads * span
+        assert max(m for m, _ in sizes) <= CHOICE_MEMO_CAP + n_threads
+        assert max(c for _, c in sizes) <= CHOICE_MEMO_CAP + n_threads
+        enum = resolve_compiled(ctx, ENUM, "le", Mode.from_string("io"))
+        answers, marker = collect_answers(enum(3, (zero,)))
+        le = resolve_compiled(ctx, CHECKER, "le", Mode.checker(2))
+        for (top, _, hi), (got, got_marker, verdicts) in list(memo.items()):
+            assert (got, got_marker) == (answers, marker)
+            for (k,), v in zip(got, verdicts):
+                assert v is None or v is negate(le(top, (hi, k)))
 
     @pytest.mark.parametrize("kind", [ENUM, GEN])
     def test_fast_producer_twins_carry_no_hook_sites(self, stlc_ctx, kind):
@@ -492,6 +616,81 @@ class TestChooserSites:
         for rel in ("typing", "lookup"):
             src = resolve_compiled(stlc_ctx, kind, rel, mode).__fast_rec__
             assert_no_hook_sites(src.__derived_source__, rel)
+
+
+class TestFoldedChecks:
+    """A fast twin folds the checks right after a chooser site into the
+    site's memo: same values, same draws, and each check run at most
+    once per memo key and answer, only for answers that were picked."""
+
+    @pytest.mark.parametrize("rel", sorted(FOLD_CASES))
+    def test_executors_draw_alike(self, nat_ctx, rel):
+        from repro.derive.trace import profile
+        from repro.producers.option_bool import NONE_OB
+
+        ctx = fold_ctx(nat_ctx)
+        mode, draw_ins = FOLD_CASES[rel]
+        gen = resolve_compiled(ctx, GEN, rel, Mode.from_string(mode))
+        interp = resolve(ctx, GEN, rel, Mode.from_string(mode)).fn
+        src = gen.__fast_rec__.__derived_source__
+        assert "_canon_" in src and "_r1 " not in src
+        assert "_canon_" not in gen.__derived_source__
+        fast = seeded_draws(gen, draw_ins)
+        with profile(ctx) as trace:
+            instrumented = seeded_draws(gen, draw_ins)
+        assert trace.total_attempts  # the instrumented twin ran
+        assert fast == instrumented == seeded_draws(interp, draw_ins)
+        outcomes = [out for out, _ in fast]
+        assert any(is_value(out) for out in outcomes)
+        memo, _ = site_tables(gen)
+        verdicts = [v for _, _, vs in memo.values() for v in vs]
+        assert any(v is None for v in verdicts)  # some answers never checked
+        if rel == "fold_fuel":  # le k 9 runs out of fuel, never fails
+            assert NONE_OB in verdicts and OUT_OF_FUEL in outcomes
+        else:
+            assert FAIL in outcomes
+
+    def test_checks_run_lazily_and_once(self):
+        """A counting ``lt`` checker behind BST's generator: the fast
+        twin calls it at most once per memo key and answer, never more
+        often than the instrumented twin, and only on picked answers
+        (the instrumented twin checks exactly the picked ones)."""
+        from repro.casestudies import bst
+        from repro.core.values import to_int
+        from repro.derive import register_checker
+        from repro.derive.codegen import CHOICE_MEMO_CAP
+        from repro.derive.trace import profile
+        from repro.producers.option_bool import SOME_FALSE, SOME_TRUE
+
+        ctx = bst.make_context()
+        iio = Mode.from_string("iio")
+        before = resolve_compiled(ctx, GEN, "bst", iio)
+        calls = []
+
+        def hand_lt(fuel, args):
+            calls.append((fuel, args))
+            return SOME_TRUE if to_int(args[0]) < to_int(args[1]) else SOME_FALSE
+
+        register_checker(ctx, "lt", hand_lt, replace=True)
+        gen = resolve_compiled(ctx, GEN, "bst", iio)
+        assert gen is not before
+
+        def draw_ins(r):
+            lo = r.randrange(4)
+            return (from_int(lo), from_int(lo + r.randrange(12)))
+
+        fast = seeded_draws(gen, draw_ins)
+        fast_calls, calls[:] = list(calls), []
+        with profile(ctx):
+            instrumented = seeded_draws(gen, draw_ins)
+        assert fast == instrumented
+        memo, _ = site_tables(gen)
+        assert len(memo) < CHOICE_MEMO_CAP  # nothing was evicted
+        filled = sum(v is not None for _, _, vs in memo.values() for v in vs)
+        answers = sum(len(a) for a, _, _ in memo.values())
+        assert 0 < len(fast_calls) == filled < answers
+        assert len(fast_calls) <= len(calls)
+        assert set(fast_calls) <= set(calls)
 
 
 #: Names every instrumentation site spells: the trace (``_tr``,
