@@ -14,6 +14,13 @@
   dispatch through ``check_batch``), and once more under per-query op
   budgets to show give-ups are structured and cheap.  Reported; the
   answers of the three configurations must agree.
+* **engine over compiled** — the same check queries served by a
+  one-worker engine (64 outstanding, the batched path) and fed straight
+  to the compiled checkers' ``__batch__`` in the same 64-query groups,
+  timed in alternating pairs (``benchmarks/pairs.py``).  Reported as
+  microseconds per query and their ratio, without a bar: the target is
+  an engine within 3x of the compiled work it serves.  The answers must
+  agree.  The rows land in ``BENCH_serve.json`` from both entry points.
 
 That session routing costs nothing on the hot path is checked
 exactly, not timed: the fast twins the entry wrappers select with no
@@ -39,13 +46,19 @@ from __future__ import annotations
 import os
 import random
 import sys
+import threading
 import time
+from functools import partial
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from benchmarks import benchjson
+from benchmarks.pairs import PAIRS, ab_pairs
 from repro.core import parse_declarations
 from repro.core.values import Value
 from repro.derive import Mode
+from repro.derive.instances import CHECKER, resolve_compiled
+from repro.producers.option_bool import SOME_TRUE
 from repro.quickchick import classify, for_all
 from repro.resilience import parallel_quick_check
 from repro.serve import CheckQuery, Engine
@@ -90,8 +103,6 @@ def _campaign_property(ctx, fuel: int = 40):
     """A compute-bearing ``le`` property: each test decides a call of
     the compiled derived checker (the one the engine and the suite
     run), so shard wall-clock is real executor work."""
-    from repro.derive.instances import CHECKER, resolve_compiled
-
     check = resolve_compiled(ctx, CHECKER, "le", Mode.checker(2))
 
     def gen(size, rng):
@@ -216,6 +227,76 @@ def bench_engine_throughput():
     return rows
 
 
+# -- engine over the compiled work it serves ---------------------------------
+
+#: Queries outstanding in the engine pass, and the raw pass's group size:
+#: the engine's default ``batch_max``, as in the suite's ``serve_batch``.
+WINDOW = 64
+
+
+def bench_engine_vs_compiled(repeat: "int | None" = None):
+    """Engine-batched vs raw compiled ``__batch__`` microseconds per
+    query on the same check queries, in alternating pairs; returns
+    ``(row, engine_answers, compiled_answers)``."""
+    repeat = repeat or (2 if QUICK else 20)
+    queries = _engine_workload() * repeat
+    ctx = _corpus_ctx()
+    batch = {
+        rel: resolve_compiled(ctx, CHECKER, rel, Mode.checker(arity)).__batch__
+        for rel, arity in (("le", 2), ("add", 3))
+    }
+    # The engine's grouping: per window, one batch per (rel, fuel).
+    groups = []
+    for lo in range(0, len(queries), WINDOW):
+        by_shape: dict = {}
+        for i in range(lo, min(lo + WINDOW, len(queries))):
+            q = queries[i]
+            by_shape.setdefault((q.rel, q.fuel), []).append(i)
+        groups += [(batch[rel], fuel, idxs, [queries[i].args for i in idxs])
+                   for (rel, fuel), idxs in by_shape.items()]
+    compiled_answers: list = [None] * len(queries)
+
+    def raw():
+        for fn, fuel, idxs, argses in groups:
+            for i, r in zip(idxs, fn(fuel, argses)):
+                compiled_answers[i] = r is SOME_TRUE
+
+    engine = Engine(ctx, workers=1, batch_max=WINDOW).start()
+    engine.prepare(queries)
+    engine.run_batch(queries[:WINDOW])
+    engine_answers: list = [None] * len(queries)
+
+    def served():
+        # A closed loop, as the suite's serve_batch drives it: a new
+        # query goes out only when one of the WINDOW outstanding ones
+        # resolved, and no future outlives its answer.
+        window = threading.Semaphore(WINDOW)
+
+        def done(i, f):
+            engine_answers[i] = f.result().value
+            window.release()
+
+        for i, q in enumerate(queries):
+            window.acquire()
+            engine.submit(q).add_done_callback(partial(done, i))
+        for _ in range(WINDOW):
+            window.acquire()
+
+    try:
+        pairs = ab_pairs(raw, served)
+    finally:
+        engine.close()
+    n = len(queries)
+    row = {
+        "queries": n,
+        "pairs": PAIRS,
+        "engine_batched_us": pairs.b / n * 1e6,
+        "compiled_batch_us": pairs.a / n * 1e6,
+        "engine_over_compiled_x": pairs.ratio,
+    }
+    return row, engine_answers, compiled_answers
+
+
 # -- reporting / acceptance --------------------------------------------------
 
 
@@ -241,7 +322,19 @@ def run_all(verbose: bool = True):
                 f"   ok/gave_up/err {row['ok']}/{row['gave_up']}"
                 f"/{row['errors']}   batched {row['batched']}"
             )
-    return speedup, merged_equal, engine
+    overhead, _, _ = bench_engine_vs_compiled()
+    if verbose:
+        _print_overhead(overhead)
+    return speedup, merged_equal, engine, overhead
+
+
+def _print_overhead(row) -> None:
+    print(
+        f"[bench_serve] engine batched {row['engine_batched_us']:6.2f} us/query"
+        f"   compiled __batch__ {row['compiled_batch_us']:6.2f} us/query"
+        f"   ratio {row['engine_over_compiled_x']:5.2f}x"
+        f" (median of {row['pairs']} pairs, {row['queries']} queries; target <= 3x)"
+    )
 
 
 # -- pytest entry points -----------------------------------------------------
@@ -291,17 +384,25 @@ def test_engine_serves_workload():
             assert r.give_up is not None and r.give_up.reason
 
 
-if __name__ == "__main__":
-    from benchmarks.benchjson import emit
+def test_engine_over_compiled_batch():
+    """Reported, not asserted: the ratio lands in BENCH_serve.json.
+    The engine must give the compiled checkers' answers."""
+    row, engine_answers, compiled_answers = bench_engine_vs_compiled()
+    _print_overhead(row)
+    assert engine_answers == compiled_answers
+    benchjson.record("serve", "engine_vs_compiled", row)
 
-    speedup, merged_equal, _engine = run_all()
-    emit("serve", {
+
+if __name__ == "__main__":
+    speedup, merged_equal, _engine, overhead = run_all()
+    benchjson.emit("serve", {
         "campaign_speedup": speedup,
         "merged_equals_sequential": merged_equal,
         "engine": {
             name: {k: v for k, v in row.items() if k != "results"}
             for name, row in _engine.items()
         },
+        "engine_vs_compiled": overhead,
     })
     ok = merged_equal
     if (os.cpu_count() or 1) >= 4:

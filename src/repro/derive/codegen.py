@@ -97,11 +97,12 @@ span trees, and replay a deterministic fault schedule identically.
 
 from __future__ import annotations
 
+from functools import partial
 from types import FunctionType
 from typing import Any, NamedTuple
 
 from ..core.context import Context
-from ..core.errors import ReproError, UnknownNameError
+from ..core.errors import ArityError, ReproError, UnknownNameError
 from ..core.types import Ty, TypeExpr, is_ground, mangle
 from ..core.values import Value
 from ..producers.combinators import _enum_values, datatype_sampler, slice_exhaustive
@@ -1867,7 +1868,9 @@ def compile_checker(ctx: Context, schedule: Schedule):
     ill-typed argument (``SpecCoercionError``) falls back to the boxed
     twin, so the public behaviour is representation-independent.  The
     returned callable always carries ``__batch__`` — the amortized
-    entry point that coerces/dispatches once per argument vector.
+    entry point that coerces/dispatches once per argument vector.  Both
+    raise :class:`~repro.core.errors.ArityError` on a vector of the
+    wrong length.
     """
     plan = lower_schedule(ctx, schedule)
     rec = _PlanCompiler(ctx, plan, "checker").compile()
@@ -1899,16 +1902,29 @@ def compile_checker(ctx: Context, schedule: Schedule):
             if fastb is not None:
                 info, spec, fast = binfo, rec, fastb
 
+    rel, arity = plan.rel, schedule.mode.arity
+
+    # The fixpoints take their arguments splatted: unchecked, a short
+    # vector raises a bare TypeError inside, and a long one is cut
+    # short by ``zip`` and answered.
     if spec is None:
 
         def check(fuel: int, args: tuple) -> Any:
+            if len(args) != arity:
+                raise ArityError(rel, arity, len(args))
             return rec(fuel, fuel, *args)
 
         def check_batch(fuel: int, argses) -> list:
-            return [rec(fuel, fuel, *args) for args in argses]
+            out = []
+            for args in argses:
+                if len(args) != arity:
+                    raise ArityError(rel, arity, len(args))
+                out.append(rec(fuel, fuel, *args))
+            return out
 
     else:
-        unbox = specialize.entry_unboxers(info.entry_reprs)
+        reprs = info.entry_reprs
+        unbox = specialize.entry_unboxers(reprs)
         CoercionError = specialize.SpecCoercionError
 
         def _spec_rec():
@@ -1919,46 +1935,40 @@ def compile_checker(ctx: Context, schedule: Schedule):
             # session's* state, so the selection is session-correct.
             return fast if _uninstrumented(ctx.caches) else spec
 
+        # The coercion of one argument vector, a C callable where it
+        # can be: boxed entries pass through, all-nat entries unbox in
+        # one ``map`` pass.
         if unbox is None:
-
-            def check(fuel: int, args: tuple) -> Any:
-                try:
-                    return _spec_rec()(fuel, fuel, *args)
-                except CoercionError:
-                    return rec(fuel, fuel, *args)
-
-            def check_batch(fuel: int, argses) -> list:
-                out = []
-                s = _spec_rec()
-                for args in argses:
-                    try:
-                        out.append(s(fuel, fuel, *args))
-                    except CoercionError:
-                        out.append(rec(fuel, fuel, *args))
-                return out
-
+            coerce = tuple
+        elif all(r == specialize.NAT for r in reprs):
+            coerce = partial(map, specialize.unbox_nat)
         else:
 
-            def check(fuel: int, args: tuple) -> Any:
-                try:
-                    sargs = [f(a) for f, a in zip(unbox, args)]
-                except CoercionError:
-                    return rec(fuel, fuel, *args)
-                try:
-                    return _spec_rec()(fuel, fuel, *sargs)
-                except CoercionError:
-                    return rec(fuel, fuel, *args)
+            def coerce(args):
+                return [f(a) for f, a in zip(unbox, args)]
 
-            def check_batch(fuel: int, argses) -> list:
-                out = []
-                s = _spec_rec()
-                for args in argses:
-                    try:
-                        sargs = [f(a) for f, a in zip(unbox, args)]
-                        out.append(s(fuel, fuel, *sargs))
-                    except CoercionError:
-                        out.append(rec(fuel, fuel, *args))
-                return out
+        # A SpecCoercionError, raised by the entry coercion or inside
+        # the specialized twin, sends that one vector to the boxed rec.
+
+        def check(fuel: int, args: tuple) -> Any:
+            if len(args) != arity:
+                raise ArityError(rel, arity, len(args))
+            try:
+                return _spec_rec()(fuel, fuel, *coerce(args))
+            except CoercionError:
+                return rec(fuel, fuel, *args)
+
+        def check_batch(fuel: int, argses) -> list:
+            out = []
+            s = _spec_rec()
+            for args in argses:
+                if len(args) != arity:
+                    raise ArityError(rel, arity, len(args))
+                try:
+                    out.append(s(fuel, fuel, *coerce(args)))
+                except CoercionError:
+                    out.append(rec(fuel, fuel, *args))
+            return out
 
         check.__spec_rec__ = spec
         check.__spec_fast__ = fast

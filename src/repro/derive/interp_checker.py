@@ -19,6 +19,7 @@ backtracking, premise chains with ``.&&``, existential premises with
 from __future__ import annotations
 
 from ..core.context import Context
+from ..core.errors import ArityError
 from ..core.values import Value
 from ..producers.option_bool import OptionBool
 from .exec_core import run_checker
@@ -68,8 +69,12 @@ class DerivedChecker:
         Top-level calls (``size == top_size``) route through the
         per-context memo table when memoization is enabled; the memo
         layer knows not to wrap this method again at the instance
-        registry.
+        registry.  A vector of the wrong length raises
+        :class:`~repro.core.errors.ArityError`.
         """
+        arity = self.schedule.mode.arity
+        if len(args) != arity:
+            raise ArityError(self.schedule.rel, arity, len(args))
         if self.ctx.caches.get("memo_enabled"):
             return checker_memo_call(
                 self.ctx,

@@ -48,9 +48,10 @@ end.
 from __future__ import annotations
 
 import threading
+from _thread import RLock
 from collections import deque
-from concurrent.futures import Future
-from concurrent.futures._base import PENDING
+from concurrent.futures import Future, InvalidStateError
+from concurrent.futures._base import FINISHED, LOGGER, PENDING, RUNNING
 from time import monotonic
 from typing import Any, Callable, Iterable
 
@@ -67,8 +68,26 @@ __all__ = [
 ADMISSION_POLICIES = ("block", "reject", "shed_oldest")
 
 
-class _Condition(threading.Condition):
-    """The condition a :class:`Ticket` waits on: ``threading.Condition``
+class _QuietCondition(threading.Condition):
+    """A ``threading.Condition`` whose ``notify`` returns at once when
+    no thread waits.
+
+    The stdlib ``notify`` first proves the caller owns the lock, which
+    for a plain ``Lock`` is a failed non-blocking acquire.  The queue
+    notifies on every put and every dequeue, and nearly always nobody
+    is parked; the caller holds the lock, so reading the waiter deque
+    is safe.
+    """
+
+    __slots__ = ()
+
+    def notify(self, n: int = 1) -> None:
+        if self._waiters:
+            super().notify(n)
+
+
+class _Condition(_QuietCondition):
+    """The condition a :class:`Ticket` waits on: a quiet condition
     over an ``RLock``, with the lock's methods delegated from the class.
 
     The stdlib condition copies five of the lock's bound methods onto
@@ -81,7 +100,9 @@ class _Condition(threading.Condition):
     __slots__ = ("_lock", "_waiters")
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        # The C lock type itself: ``threading.RLock`` is a Python
+        # factory function in front of it.
+        self._lock = RLock()
         self._waiters = deque()
 
     def acquire(self, *args, **kwargs):
@@ -98,12 +119,6 @@ class _Condition(threading.Condition):
 
     def _is_owned(self) -> bool:
         return self._lock._is_owned()
-
-    def notify_all(self) -> None:
-        # Future.set_result notifies under the lock; most tickets are
-        # resolved with nobody blocked in result().
-        if self._waiters:
-            super().notify_all()
 
 
 class Ticket(Future):
@@ -146,6 +161,58 @@ class Ticket(Future):
         self.submitted = submitted
         self.deadline = deadline
         self.fault = None
+
+    # The stdlib future enters its condition through the Python-level
+    # ``Condition.__enter__``/``__exit__`` on every call.  The three
+    # calls each served query makes (the caller's ``add_done_callback``
+    # and ``result``, the worker's ``set_result``) take the condition's
+    # lock directly instead, with the stdlib's semantics.
+
+    def set_result(self, result) -> None:
+        """``Future.set_result`` with one lock hold and no idle wake-up:
+        the condition is notified only when a thread waits in
+        ``result()``, and the callbacks run inline, after the lock is
+        released.  As in the stdlib: ``InvalidStateError`` on a done or
+        cancelled ticket, every ``wait``/``as_completed`` waiter fed,
+        and a raising callback logged on the ``concurrent.futures``
+        logger without stopping the callbacks after it.
+        """
+        cond = self._condition
+        with cond._lock:
+            if self._state != PENDING and self._state != RUNNING:
+                raise InvalidStateError(f"{self._state}: {self!r}")
+            self._result = result
+            self._state = FINISHED
+            for waiter in self._waiters:
+                waiter.add_result(self)
+            if cond._waiters:
+                cond.notify_all()
+        for callback in self._done_callbacks:
+            try:
+                callback(self)
+            except Exception:
+                LOGGER.exception("exception calling callback for %r", self)
+
+    def add_done_callback(self, fn) -> None:
+        with self._condition._lock:
+            if self._state == PENDING or self._state == RUNNING:
+                self._done_callbacks.append(fn)
+                return
+        try:
+            fn(self)
+        except Exception:
+            LOGGER.exception("exception calling callback for %r", self)
+
+    def result(self, timeout: "float | None" = None):
+        # A resolved ticket answers in one lock hold; anything else
+        # (pending, cancelled, an exception set) takes the stdlib path.
+        # FINISHED is final, so an unlocked read may choose the path;
+        # the answer is read under the lock.
+        if self._state == FINISHED:
+            with self._condition._lock:
+                if self._exception is None:
+                    return self._result
+        return super().result(timeout)
 
     def expired(self, now: "float | None" = None) -> bool:
         if self.deadline is None:
@@ -194,8 +261,8 @@ class AdmissionQueue:
         #: every mutation so :meth:`qsize` and the bound are O(1)
         self._tickets = 0
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
+        self._not_empty = _QuietCondition(self._lock)
+        self._not_full = _QuietCondition(self._lock)
         self._closing = False
 
     # -- internals ----------------------------------------------------------

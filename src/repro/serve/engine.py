@@ -741,12 +741,6 @@ class Engine:
         tel = self.telemetry
         try:
             fn = self._instance(shapes, CHECKER, rel, None).fn
-            argses = [tuple(t.query.args) for t in items]
-            batch_fn = getattr(fn, "__batch__", None)
-            if batch_fn is None:
-                results = [fn(fuel, args) for args in argses]
-            else:
-                results = batch_fn(fuel, argses)
         except ReproError as e:
             # A derive/schedule failure is shared by the whole group —
             # every query of this shape errors identically.
@@ -774,30 +768,38 @@ class Engine:
                 )
                 for t in items
             ]
+        try:
+            argses = [tuple(t.query.args) for t in items]
+            batch_fn = getattr(fn, "__batch__", None)
+            if batch_fn is None:
+                answers = [fn(fuel, args) for args in argses]
+            else:
+                answers = batch_fn(fuel, argses)
         except Exception:
-            # Anything else (a raise, a recursion too deep) is one bad
-            # query's problem, not the group's: isolate by re-serving
-            # each singly (the single path resolves the culprit and
-            # answers its neighbors).
+            # Anything else (a wrong-arity query, a raise, a recursion
+            # too deep) is one bad query's problem, not the group's:
+            # isolate by re-serving each singly (the single path
+            # resolves the culprit and answers its neighbors).
             return [self._serve_one(index, shapes, t, counts) for t in items]
         elapsed = (monotonic() - t0) / n
+        # Positional fields: query, status, value, complete, give_up,
+        # error, elapsed_seconds, worker, batched, qid, queue_seconds.
+        result = QueryResult
         out = []
+        append = out.append
         gave_up = 0
-        for t, res in zip(items, results):
-            if res is NONE_OB:
-                gave_up += 1
-                result = QueryResult(
-                    t.query, "gave_up", give_up=GiveUp("fuel"),
-                    elapsed_seconds=elapsed, worker=index, batched=True,
-                    qid=t.qid, queue_seconds=t0 - t.submitted,
-                )
+        for t, res in zip(items, answers):
+            if res is not NONE_OB:
+                append(result(
+                    t.query, "ok", res is SOME_TRUE, None, None, None,
+                    elapsed, index, True, t.qid, t0 - t.submitted,
+                ))
             else:
-                result = QueryResult(
-                    t.query, "ok", value=res is SOME_TRUE,
-                    elapsed_seconds=elapsed, worker=index, batched=True,
-                    qid=t.qid, queue_seconds=t0 - t.submitted,
-                )
-            out.append(result)
+                gave_up += 1
+                append(result(
+                    t.query, "gave_up", None, None, GiveUp("fuel"), None,
+                    elapsed, index, True, t.qid, t0 - t.submitted,
+                ))
         if tel is not None:
             tel.record_batch(
                 kind="check", rel=rel, worker=index,

@@ -93,6 +93,77 @@ class TestCompiledCheckers:
         assert t_comp < t_interp
 
 
+def _short_and_long(args):
+    return [args[:-1], args + (args[0],)]
+
+
+class TestEntryArity:
+    """Every checker entry refuses an argument vector of the wrong
+    length with an ``ArityError`` naming the relation, rather than
+    answering a truncated vector or leaking a bare ``TypeError``."""
+
+    def _assert_refused(self, fn, rel, args):
+        from repro.core.errors import ArityError
+
+        arity = len(args)
+        for bad in _short_and_long(args):
+            with pytest.raises(ArityError) as single:
+                fn(8, bad)
+            assert single.value.name == rel
+            assert (single.value.expected, single.value.got) == (arity, len(bad))
+            with pytest.raises(ArityError):
+                fn.__batch__(8, [args, bad, args])
+        assert fn.__batch__(8, [args, args]) == [fn(8, args)] * 2
+
+    def test_all_nat_entry(self, nat_ctx):
+        interp, compiled = checker_pair(nat_ctx, "le")
+        assert compiled.__spec_reprs__ == ("nat", "nat")
+        self._assert_refused(compiled, "le", (from_int(1), from_int(2)))
+
+    def test_mixed_repr_entry(self, list_ctx):
+        _, compiled = checker_pair(list_ctx, "InNat")
+        assert compiled.__spec_reprs__ == ("nat", ("list", "nat"))
+        self._assert_refused(compiled, "InNat", (from_int(1), nat_list([0, 1])))
+
+    def test_boxed_entry(self, stlc_ctx):
+        _, compiled = checker_pair(stlc_ctx, "typing")
+        assert set(compiled.__spec_reprs__) == {"box"}
+        args = (from_list([]), V("Con", from_int(1)), V("N"))
+        self._assert_refused(compiled, "typing", args)
+
+    def test_unspecialized_entry(self, nat_ctx):
+        from repro.derive import specialize
+
+        specialize.disable_specialization(nat_ctx)
+        _, compiled = checker_pair(nat_ctx, "le")
+        assert not hasattr(compiled, "__spec_reprs__")
+        self._assert_refused(compiled, "le", (from_int(1), from_int(2)))
+
+    def test_interpreter_entry(self, nat_ctx):
+        from repro.core.errors import ArityError
+        from repro.derive.api import derive_checker
+
+        interp, _ = checker_pair(nat_ctx, "le")
+        for bad in _short_and_long((from_int(1), from_int(2))):
+            with pytest.raises(ArityError):
+                interp(8, bad)
+        checker = derive_checker(nat_ctx, "le")
+        with pytest.raises(ArityError):
+            checker(8, from_int(1), from_int(2), from_int(0))
+        with pytest.raises(ArityError):
+            checker.check_batch(8, [(from_int(1),)])
+
+    def test_nat_batch_falls_back_per_vector(self, nat_ctx):
+        """An ill-typed vector in an all-nat batch goes to the boxed
+        rec alone; its neighbours stay on the specialized twin."""
+        interp, compiled = checker_pair(nat_ctx, "le")
+        odd = (V("N"), from_int(2))  # not a natural: coercion fails
+        argses = [(from_int(1), from_int(2)), odd, (from_int(3), from_int(2))]
+        assert compiled.__batch__(8, argses) == [
+            interp(8, args) for args in argses
+        ]
+
+
 class TestCompiledEnumerators:
     def _pair(self, ctx, rel, mode):
         interp = resolve(ctx, ENUM, rel, Mode.from_string(mode)).fn

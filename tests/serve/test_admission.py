@@ -124,6 +124,87 @@ class TestAdmissionQueue:
         assert shed == [(9, "shutdown")]
 
 
+def _parked(cond, timeout=30.0):
+    """Wait until a thread is parked on *cond* (its waiter deque is
+    fed under the queue lock, before the thread blocks)."""
+    deadline = time.monotonic() + timeout
+    while not cond._waiters:
+        assert time.monotonic() < deadline, "no thread parked"
+        time.sleep(0.001)
+
+
+def _in_thread(fn):
+    """Run *fn* on a daemon thread (a thread that is never woken must
+    not hold the test run open); returns the thread and its result
+    list."""
+    out: list = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    return t, out
+
+
+class TestQueueWakeUps:
+    """The queue's conditions skip ``notify`` when nobody waits; every
+    operation that makes room or an item must still wake a parked
+    thread."""
+
+    @pytest.mark.parametrize("op", ["put", "put_front", "put_control"])
+    def test_blocked_get_wakes(self, op):
+        q = AdmissionQueue()
+        item = object() if op == "put_control" else _ticket(7)
+        t, got = _in_thread(q.get)
+        _parked(q._not_empty)
+        if op == "put":
+            assert q.put(item)
+        elif op == "put_front":
+            q.put_front([item])
+        else:
+            q.put_control(item)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert got == [item]
+        assert not q._not_empty._waiters
+
+    @pytest.mark.parametrize("op", ["get", "get_many", "start_closing"])
+    def test_blocked_put_wakes(self, op):
+        shed = []
+        q = AdmissionQueue(maxsize=1, policy="block",
+                           on_shed=lambda t, r: shed.append((t.qid, r)))
+        assert q.put(_ticket(1))
+        t, admitted = _in_thread(lambda: q.put(_ticket(2)))
+        _parked(q._not_full)
+        if op == "get":
+            assert q.get().qid == 1
+        elif op == "get_many":
+            assert [it.qid for it in q.get_many(4)] == [1]
+        else:
+            q.start_closing()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        if op == "start_closing":
+            assert admitted == [False]
+            assert shed == [(2, "shutdown")]
+        else:
+            assert admitted == [True]
+            assert q.get_nowait().qid == 2
+        assert not q._not_full._waiters
+
+    def test_every_parked_getter_wakes(self):
+        q = AdmissionQueue()
+        getters = [_in_thread(q.get) for _ in range(3)]
+        deadline = time.monotonic() + 30
+        while len(q._not_empty._waiters) < 3:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        tickets = [_ticket(i) for i in range(3)]
+        for t in tickets:
+            assert q.put(t)
+        for t, _ in getters:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert sorted(got[0].qid for _, got in getters) == [0, 1, 2]
+
+
 class TestOverloadController:
     def test_fill_climbs_the_ladder(self):
         ctl = OverloadController(queue_max=10)

@@ -85,6 +85,85 @@ class TestCheckQueries:
         assert sum(w["batched"] for w in stats["per_worker"]) > 0
 
 
+class TestBatchedResults:
+    def test_every_field_of_a_batched_result(self, nat_ctx):
+        """The batched path builds its results positionally; each one
+        must read as the keyword-built single-path result does."""
+        from repro.resilience import WorkerFaultPlan
+
+        plan = WorkerFaultPlan.from_events((0, 1, "stall"), stall_seconds=0.3)
+        queries = [CheckQuery("le", (nat(0), nat(1)))]  # the parked head
+        queries += [CheckQuery("le", (nat(a), nat(3))) for a in range(5)]
+        queries += [CheckQuery("le", (nat(0), nat(9)), fuel=1)] * 2
+        with Engine(nat_ctx, workers=1, faults=plan) as eng:
+            eng.prepare(queries)
+            tickets = [eng.submit(q) for q in queries]
+            results = [t.result(timeout=30) for t in tickets]
+        for t, q, r in zip(tickets, queries, results):
+            assert r.query is q and r.qid == t.qid
+            assert r.worker == 0 and r.complete is None and r.error is None
+            assert r.queue_seconds >= 0 and r.elapsed_seconds >= 0
+            assert r.seed is None
+        batched = results[1:]
+        assert all(r.batched for r in batched)
+        assert [(r.status, r.value) for r in batched[:5]] == [
+            ("ok", a <= 3) for a in range(5)
+        ]
+        for r in batched[5:]:
+            assert r.status == "gave_up" and r.value is None
+            assert r.give_up == GiveUp("fuel")
+        assert all(r.give_up is None for r in batched[:5])
+
+
+class TestWrongArity:
+    """A check query with the wrong number of arguments resolves as an
+    ``ArityError`` result on both paths, and never costs its batch
+    neighbours their answers."""
+
+    MESSAGE = "'le' expects 2 argument(s), got {}"
+
+    def test_single_path(self, engine):
+        long = engine.run(CheckQuery("le", (nat(1), nat(2), nat(0))))
+        short = engine.run(CheckQuery("le", (nat(1),)))
+        raw = engine.run(CheckQuery("le", (1, 2, 0)))
+        for res, got in ((long, 3), (short, 1), (raw, 3)):
+            assert res.status == "error" and res.value is None
+            assert res.error == self.MESSAGE.format(got)
+        assert engine.run(CheckQuery("le", (nat(1), nat(2)))).value is True
+
+    def test_batched_path_answers_the_neighbours(self, nat_ctx):
+        from repro.resilience import WorkerFaultPlan
+
+        # Park the worker on the first claim of each run so every
+        # query of the run lands in one chunk, and one (rel, fuel)
+        # group: 18 claims, then the second run's head.
+        plan = WorkerFaultPlan.from_events(
+            (0, 1, "stall"), (0, 19, "stall"), stall_seconds=0.3
+        )
+        pairs = [(a, b) for a in range(4) for b in range(4)]
+        queries = [CheckQuery("le", (nat(a), nat(b))) for a, b in pairs]
+        queries.insert(3, CheckQuery("le", (nat(1), nat(2), nat(0))))
+        queries.insert(9, CheckQuery("le", (nat(5),)))
+        with Engine(nat_ctx, workers=1, faults=plan) as eng:
+            eng.prepare(queries)
+            results = eng.run_batch(queries)
+            stats = eng.stats()
+            again = eng.run_batch(
+                [CheckQuery("le", (nat(a), nat(b))) for a, b in pairs]
+            )
+        bad = {3: 3, 9: 1}
+        good = [r for i, r in enumerate(results) if i not in bad]
+        for i, got in bad.items():
+            assert results[i].status == "error"
+            assert results[i].error == self.MESSAGE.format(got)
+        assert [r.value for r in good] == [a <= b for a, b in pairs]
+        assert all(r.ok for r in good)
+        assert stats["per_worker"][0]["errors"] == 2
+        assert stats["crashes"] == 0
+        assert [r.value for r in again] == [a <= b for a, b in pairs]
+        assert all(r.batched for r in again)
+
+
 class TestEnumQueries:
     def test_complete_enumeration(self, engine):
         res = engine.run(EnumQuery("le", "oi", (nat(3),), fuel=6))

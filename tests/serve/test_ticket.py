@@ -10,7 +10,9 @@ the class).  Three things are pinned here:
   objects must stay under CPython's gen-0 threshold or the serving
   window triggers a collection per chunk;
 * **future conformance** — everything a caller may do with a stdlib
-  future works on an engine future;
+  future works on an engine future, including through the ticket's
+  own ``set_result``, ``add_done_callback`` and ``result``, which take
+  the condition's lock directly;
 * **layout drift** — the fields ``Future.__init__`` and
   ``Condition.__init__`` set are the ones the ticket and its condition
   declare, so a new interpreter's extra field fails here rather than
@@ -32,6 +34,7 @@ from repro.core.values import Value
 from repro.resilience import WorkerFaultPlan
 from repro.serve import CheckQuery, Engine, QueryResult, Ticket
 from repro.serve.admission import _Condition
+from repro.serve.engine import _resolve
 
 #: Tracked containers one pending ticket may hold: itself, its
 #: condition, the condition's lock and waiter deque, and the future's
@@ -178,6 +181,122 @@ class TestFutureConformance:
         ]
         assert engine.run(CheckQuery("le", (nat(0), nat(0)))).ok
         assert engine.stats()["crashes"] == 0
+
+
+def _bare_ticket():
+    return Ticket(CheckQuery("le", (nat(1), nat(2))), 0, time.monotonic())
+
+
+def _parked(cond, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not cond._waiters:
+        assert time.monotonic() < deadline, "no thread parked"
+        time.sleep(0.001)
+
+
+class TestLeanResolve:
+    """``Ticket.set_result``, ``add_done_callback`` and ``result``
+    behave as the stdlib future's do."""
+
+    def test_raising_callback_is_logged_and_the_next_runs(self, caplog):
+        t = _bare_ticket()
+        calls: list = []
+
+        def boom(f):
+            calls.append("boom")
+            raise ValueError("callback failure")
+
+        t.add_done_callback(boom)
+        t.add_done_callback(lambda f: calls.append(f.result()))
+        with caplog.at_level("ERROR", logger="concurrent.futures"):
+            t.set_result("answer")
+        assert calls == ["boom", "answer"]
+        [record] = caplog.records
+        assert record.name == "concurrent.futures"
+        assert "exception calling callback" in record.getMessage()
+        assert record.exc_info[0] is ValueError
+
+    def test_callback_added_after_resolution_runs_at_once(self, caplog):
+        t = _bare_ticket()
+        t.set_result(1)
+        seen: list = []
+        t.add_done_callback(lambda f: seen.append(f.result()))
+        assert seen == [1]
+        with caplog.at_level("ERROR", logger="concurrent.futures"):
+            t.add_done_callback(lambda f: 1 / 0)
+        assert len(caplog.records) == 1
+
+    def test_blocked_result_wakes(self):
+        t = _bare_ticket()
+        got: list = []
+        waiter = threading.Thread(target=lambda: got.append(t.result(30)))
+        waiter.start()
+        _parked(t._condition)
+        t.set_result("late")
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert got == ["late"]
+        assert not t._condition._waiters
+
+    def test_blocked_wait_wakes(self):
+        t = _bare_ticket()
+        got: list = []
+        waiter = threading.Thread(
+            target=lambda: got.append(cf.wait([t], timeout=30))
+        )
+        waiter.start()
+        deadline = time.monotonic() + 30
+        while not t._waiters:  # cf.wait's waiter is installed
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        t.set_result(3)
+        waiter.join(timeout=30)
+        [(done, pending)] = got
+        assert done == {t} and not pending
+
+    def test_second_set_result_raises(self):
+        t = _bare_ticket()
+        t.set_result(1)
+        with pytest.raises(cf.InvalidStateError):
+            t.set_result(2)
+        assert t.result() == 1
+
+    def test_set_result_on_a_cancelled_ticket_raises(self):
+        t = _bare_ticket()
+        assert t.cancel()
+        with pytest.raises(cf.InvalidStateError):
+            t.set_result(1)
+        with pytest.raises(cf.CancelledError):
+            t.result(0)
+
+    def test_resolve_drops_a_cancelled_tickets_answer(self):
+        t = _bare_ticket()
+        calls: list = []
+        t.add_done_callback(lambda f: calls.append(f.cancelled()))
+        assert t.cancel()
+        _resolve(t, "dropped")
+        assert t.cancelled() and calls == [True]
+        with pytest.raises(cf.CancelledError):
+            t.result(0)
+
+    def test_resolve_still_raises_on_a_double_answer(self):
+        t = _bare_ticket()
+        _resolve(t, 1)
+        with pytest.raises(cf.InvalidStateError):
+            _resolve(t, 2)
+
+    def test_result_after_set_exception_raises_it(self):
+        t = _bare_ticket()
+        t.set_exception(KeyError("k"))
+        with pytest.raises(KeyError):
+            t.result(0)
+        assert isinstance(t.exception(0), KeyError)
+
+    def test_running_ticket_resolves(self):
+        t = _bare_ticket()
+        assert t.set_running_or_notify_cancel()
+        t.set_result(5)
+        assert t.result(0) == 5 and t.done()
 
 
 class TestLayoutDrift:
