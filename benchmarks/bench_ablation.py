@@ -27,7 +27,7 @@ from repro.core import parse_declarations
 from repro.core.values import V, from_int, from_list
 from repro.derive import DerivePolicy, Mode, build_schedule
 from repro.derive.instances import CHECKER, resolve, resolve_compiled
-from repro.derive.interp_checker import DerivedChecker
+from repro.derive.exec_core import make_checker
 from repro.stdlib import standard_context
 
 STLC = """
@@ -109,7 +109,7 @@ def test_scheduler_policy_ablation(benchmark, policy_name):
     ctx = _stlc_ctx()
     policy = DerivePolicy(prefer_producer=(policy_name == "prefer_producer"))
     schedule = build_schedule(ctx, "typing", Mode.checker(3), policy)
-    checker = DerivedChecker(ctx, schedule)
+    checker = make_checker(ctx, schedule)
     cases = _workload()
     benchmark.extra_info["policy"] = policy_name
 
@@ -121,7 +121,7 @@ def test_scheduler_policy_ablation(benchmark, policy_name):
         # It may still answer None on the hardest cases: we only
         # demand it never *contradicts* the reference policy.
         for env, e, t, expected in cases:
-            result = checker.check(3, (env, e, t))
+            result = checker(3, (env, e, t))
             if not result.is_none:
                 assert result.is_true == expected
 
@@ -139,9 +139,9 @@ def test_policy_precision(benchmark):
     generate-and-test."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     ctx = _stlc_ctx()
-    smart = DerivedChecker(ctx, build_schedule(ctx, "typing", Mode.checker(3)))
+    smart = make_checker(ctx, build_schedule(ctx, "typing", Mode.checker(3)))
     ctx2 = _stlc_ctx()
-    naive = DerivedChecker(
+    naive = make_checker(
         ctx2,
         build_schedule(
             ctx2, "typing", Mode.checker(3), DerivePolicy(prefer_producer=False)
@@ -150,10 +150,10 @@ def test_policy_precision(benchmark):
     cases = _workload()
     fuel = 3  # the naive policy is doubly exponential in fuel
     smart_decided = sum(
-        not smart.check(fuel, (env, e, t)).is_none for env, e, t, _ in cases
+        not smart(fuel, (env, e, t)).is_none for env, e, t, _ in cases
     )
     naive_decided = sum(
-        not naive.check(fuel, (env, e, t)).is_none for env, e, t, _ in cases
+        not naive(fuel, (env, e, t)).is_none for env, e, t, _ in cases
     )
     print(f"\n[ablation] decided at fuel {fuel}: "
           f"constrained={smart_decided}/{len(cases)}, "

@@ -127,7 +127,7 @@ def run_all(verbose: bool = True) -> dict[str, float]:
                 f"[bench_memo]   hits={stats.cache_hits:,} "
                 f"misses={stats.cache_misses:,} "
                 f"hit_rate={stats.hit_rate:.1%} "
-                f"handler_attempts={stats.handler_attempts:,}"
+                f"checker_calls={stats.checker_calls:,}"
             )
     return speedups
 

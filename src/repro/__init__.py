@@ -8,7 +8,8 @@ completeness, monotonicity) against a reference proof-search semantics.
 
 Quickstart::
 
-    from repro import standard_context, parse_declarations, derive_checker
+    from repro import (standard_context, parse_declarations,
+                       derive_checker, from_int)
 
     ctx = standard_context()
     parse_declarations(ctx, '''

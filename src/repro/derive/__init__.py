@@ -1,6 +1,14 @@
 """Derivation engine: compile inductive relations into computations."""
 
-from .api import derive, derive_checker, derive_enumerator, derive_generator
+from .api import (
+    DerivedChecker,
+    DerivedEnumerator,
+    DerivedGenerator,
+    derive,
+    derive_checker,
+    derive_enumerator,
+    derive_generator,
+)
 from .instances import (
     CHECKER,
     ENUM,
@@ -11,9 +19,6 @@ from .instances import (
     resolve,
     resolve_checker,
 )
-from .interp_checker import DerivedChecker, HandwrittenChecker
-from .interp_enum import DerivedEnumerator, HandwrittenEnumerator
-from .interp_gen import DerivedGenerator, HandwrittenGenerator
 from .memo import (
     clear_memo,
     derive_stats,
@@ -55,9 +60,6 @@ __all__ = [
     "ENUM",
     "GEN",
     "Handler",
-    "HandwrittenChecker",
-    "HandwrittenEnumerator",
-    "HandwrittenGenerator",
     "Instance",
     "Mode",
     "Plan",

@@ -16,26 +16,202 @@ Modes are given as strings over {'i', 'o'} (or iterables of output
 positions).  Derived artifacts are registered in the context's
 instance table so other derivations can call them, and the whole
 dependency closure is derived eagerly (cycles are rejected).
+
+Whatever the registry resolves a query to — an interpreter-derived,
+handwritten or ``derive_mutual`` instance — ``derive_*`` hands back one
+class per kind (:class:`DerivedChecker`, :class:`DerivedEnumerator`,
+:class:`DerivedGenerator`), the same object for a given context and
+``(kind, rel, mode)``.  It calls the registry instance's ``fn`` on
+every call and resolves the instance again when the registry epoch
+moves, so a held object follows ``register(..., replace=True)`` and the
+memo wrapping of :mod:`repro.derive.memo`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import random
+from typing import Any, Iterable, Iterator
 
 from ..core.context import Context
 from ..core.errors import DerivationError
+from ..core.values import Value
+from ..producers.option_bool import OptionBool
+from ..producers.outcome import OUT_OF_FUEL, is_value
 from .instances import (
     CHECKER,
     ENUM,
     GEN,
+    REGISTRY_EPOCH,
     Instance,
     resolve,
     resolve_compiled_instance,
 )
-from .interp_checker import DerivedChecker, HandwrittenChecker
-from .interp_enum import DerivedEnumerator, HandwrittenEnumerator
-from .interp_gen import DerivedGenerator, HandwrittenGenerator
+from .memo import decide_fuel_doubling
 from .modes import Mode
+from .plan import Plan, lower_schedule
+
+#: ``ctx.artifacts`` key of the public objects, by ``(kind, rel, mode)``
+PUBLIC_KEY = "public_objects"
+
+
+class _Public:
+    """What the three public classes share: the ``(kind, rel, mode)``
+    they answer for and the registry instance that runs it."""
+
+    def __init__(self, ctx: Context, kind: str, rel: str, mode: Mode) -> None:
+        self.ctx = ctx
+        self.kind = kind
+        self.rel = rel
+        self.mode = mode
+        # (registry epoch, instance); resolved on first use.
+        self._resolved: tuple = (None, None)
+
+    @property
+    def instance(self) -> Instance:
+        """The registry instance this object runs, resolved again
+        whenever :data:`~repro.derive.instances.REGISTRY_EPOCH` moves
+        (the rule the serving engine's shape cache follows)."""
+        epoch = self.ctx.artifacts.get(REGISTRY_EPOCH, 0)
+        seen, instance = self._resolved
+        if seen != epoch:
+            instance = resolve(self.ctx, self.kind, self.rel, self.mode)
+            self._resolved = (epoch, instance)
+        return instance
+
+    @property
+    def plan(self) -> "Plan | None":
+        """The lowered plan of the instance's schedule, or ``None`` for
+        a handwritten instance."""
+        schedule = self.instance.schedule
+        return None if schedule is None else lower_schedule(self.ctx, schedule)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.rel!r}, {self.mode}, "
+            f"source={self.instance.source!r})"
+        )
+
+
+class DerivedChecker(_Public):
+    """A semi-decision procedure for ``P e1 .. en`` (``DecOpt``).
+
+    Calling convention: ``checker(fuel, *args) -> OptionBool`` — the
+    paper's ``fun size in1 .. => rec size size in1 ..`` wrapper.  A
+    vector of the wrong length raises
+    :class:`~repro.core.errors.ArityError`.
+    """
+
+    def __call__(self, fuel: int, *args: Value) -> OptionBool:
+        return self.instance.fn(fuel, args)
+
+    def check(self, fuel: int, args: tuple[Value, ...]) -> OptionBool:
+        """The registry's calling convention: one argument vector."""
+        return self.instance.fn(fuel, tuple(args))
+
+    def check_batch(self, fuel: int, argses) -> list:
+        """Check a vector of argument tuples at one fuel: through the
+        instance's ``__batch__`` entry when it has one (compiled code),
+        else one :meth:`check` per element.  Either way each element is
+        a top-level call, so memoization and instrumentation see the
+        same events as a caller-side loop."""
+        fn = self.instance.fn
+        batch = getattr(fn, "__batch__", None)
+        if batch is not None:
+            return batch(fuel, argses)
+        return [fn(fuel, tuple(args)) for args in argses]
+
+    def decide(
+        self, args: tuple[Value, ...], max_fuel: int = 64, start_fuel: int = 2
+    ) -> OptionBool:
+        """Run with doubling fuel until a definite answer (or give up
+        with ``None`` at *max_fuel*).
+
+        With memoization enabled the loop is incremental: a cached
+        definite answer (at any fuel) returns immediately, and probes
+        at or below the recorded ``None`` frontier short-circuit.
+        """
+        return decide_fuel_doubling(
+            self.ctx, self.rel, self.check, args, max_fuel, start_fuel
+        )
+
+
+class DerivedEnumerator(_Public):
+    """A constrained enumerator for ``(rel, mode)``
+    (``EnumSizedSuchThat``).
+
+    Calling convention: ``enum(fuel, *in_args)`` yields output tuples
+    (and ``OUT_OF_FUEL`` markers).
+    """
+
+    def __call__(self, fuel: int, *ins: Value) -> Iterator[Any]:
+        return self.instance.fn(fuel, ins)
+
+    def enum_st(self, fuel: int, ins: tuple[Value, ...]) -> Iterator[Any]:
+        """The registry's calling convention: one input vector."""
+        return self.instance.fn(fuel, tuple(ins))
+
+    def values(self, fuel: int, *ins: Value) -> list[tuple[Value, ...]]:
+        """All output tuples at *fuel* (markers dropped)."""
+        return [x for x in self.instance.fn(fuel, ins) if x is not OUT_OF_FUEL]
+
+    def exhaustive_at(self, fuel: int, *ins: Value) -> bool:
+        """True when the enumeration at *fuel* carries no fuel marker —
+        i.e. it provably contains *every* solution."""
+        return all(x is not OUT_OF_FUEL for x in self.instance.fn(fuel, ins))
+
+
+class DerivedGenerator(_Public):
+    """A constrained random generator for ``(rel, mode)``
+    (``GenSizedSuchThat``).
+
+    Calling convention: ``gen(fuel, *in_args, rng=...)`` returns one
+    output tuple, or ``FAIL`` / ``OUT_OF_FUEL``.
+    """
+
+    def __call__(
+        self, fuel: int, *ins: Value, rng: random.Random | None = None
+    ) -> Any:
+        return self.instance.fn(fuel, ins, rng or random.Random())
+
+    def gen_st(
+        self, fuel: int, ins: tuple[Value, ...], rng: random.Random
+    ) -> Any:
+        """The registry's calling convention: one input vector."""
+        return self.instance.fn(fuel, tuple(ins), rng)
+
+    def samples(
+        self,
+        fuel: int,
+        *ins: Value,
+        count: int = 100,
+        seed: int | None = None,
+    ) -> list[tuple[Value, ...]]:
+        """Draw until *count* proper outputs were produced (markers
+        dropped); gives up after ``20 * count`` attempts."""
+        rng = random.Random(seed)
+        fn = self.instance.fn
+        out: list[tuple[Value, ...]] = []
+        attempts = 0
+        while len(out) < count and attempts < 20 * count:
+            attempts += 1
+            x = fn(fuel, ins, rng)
+            if is_value(x):
+                out.append(x)
+        return out
+
+
+_CLASSES = {CHECKER: DerivedChecker, ENUM: DerivedEnumerator, GEN: DerivedGenerator}
+
+
+def public_object(ctx: Context, kind: str, rel: str, mode: Mode) -> _Public:
+    """The public object for ``(kind, rel, mode)`` on *ctx*, made on
+    first request and the same object afterwards."""
+    objects = ctx.artifacts.setdefault(PUBLIC_KEY, {})
+    key = (kind, rel, str(mode))
+    obj = objects.get(key)
+    if obj is None:
+        obj = objects.setdefault(key, _CLASSES[kind](ctx, kind, rel, mode))
+    return obj
 
 
 def _as_mode(ctx: Context, rel: str, mode: "str | Mode | Iterable[int]") -> Mode:
@@ -86,14 +262,8 @@ def derive_checker(ctx: Context, rel: str, *, analysis: bool = True) -> DerivedC
     failure.
     """
     built = _checked_mode(ctx, CHECKER, rel, None, analysis)
-    instance = resolve(ctx, CHECKER, rel, built)
-    owner = getattr(instance.fn, "__self__", None)
-    if isinstance(owner, DerivedChecker):
-        return owner
-    # Handwritten instance: wrap it in the public interface.  The
-    # wrapper *delegates to the registered fn* — re-deriving a checker
-    # here would silently discard the handwritten implementation.
-    return HandwrittenChecker(ctx, instance)
+    resolve(ctx, CHECKER, rel, built)
+    return public_object(ctx, CHECKER, rel, built)
 
 
 def derive_enumerator(
@@ -108,11 +278,8 @@ def derive_enumerator(
     ``Derive EnumSizedSuchThat for (fun out.. => P ..)``.
     """
     built = _checked_mode(ctx, ENUM, rel, mode, analysis)
-    instance = resolve(ctx, ENUM, rel, built)
-    owner = getattr(instance.fn, "__self__", None)
-    if isinstance(owner, DerivedEnumerator):
-        return owner
-    return HandwrittenEnumerator(ctx, instance)
+    resolve(ctx, ENUM, rel, built)
+    return public_object(ctx, ENUM, rel, built)
 
 
 def derive_generator(
@@ -128,11 +295,8 @@ def derive_generator(
     ``Derive GenSizedSuchThat for (fun out.. => P ..)``.
     """
     built = _checked_mode(ctx, GEN, rel, mode, analysis)
-    instance = resolve(ctx, GEN, rel, built)
-    owner = getattr(instance.fn, "__self__", None)
-    if isinstance(owner, DerivedGenerator):
-        return owner
-    return HandwrittenGenerator(ctx, instance)
+    resolve(ctx, GEN, rel, built)
+    return public_object(ctx, GEN, rel, built)
 
 
 def compiled_instance(

@@ -109,7 +109,7 @@ from ..producers.combinators import _enum_values, datatype_sampler, slice_exhaus
 from ..producers.option_bool import NONE_OB, SOME_FALSE, SOME_TRUE, negate
 from ..producers.outcome import FAIL, OUT_OF_FUEL
 from . import specialize
-from .exec_core import choose, collect_answers
+from .exec_core import TRIES_PER_HANDLER, choose, collect_answers
 from .plan import (
     OP_CHECK,
     OP_EVAL,
@@ -1677,7 +1677,8 @@ class _PlanCompiler:
         """Weighted backtracking over the dispatched handlers: each
         draw is one ``rng.random()`` scaled by the live weights' total
         (a recursive handler weighs ``_size or 1``, any other 1), and
-        each handler gets two tries.  The first draw reads the weights
+        each handler gets :data:`~repro.derive.exec_core.TRIES_PER_HANDLER`
+        tries.  The first draw reads the weights
         straight off ``_hs``, so a level whose first handler succeeds
         allocates nothing; the ``_live`` list of ``[handler, tries,
         weight]`` is built only after a failure, with the failed
@@ -1717,8 +1718,8 @@ class _PlanCompiler:
         em.indent -= 1
         self._emit_gen_attempt(em, *self._gen_exit("OUT_OF_FUEL"))
         em.emit(
-            f"_live = [[_g, 1 if _g is _h else 2, {weight.format('_g[1]')}]"
-            " for _g in _hs]"
+            f"_live = [[_g, {TRIES_PER_HANDLER - 1} if _g is _h else"
+            f" {TRIES_PER_HANDLER}, {weight.format('_g[1]')}] for _g in _hs]"
         )
         em.emit("while _live:")
         em.indent += 1

@@ -35,9 +35,17 @@ instead of once per step.
 External instances resolve through the precomputed registry key on the
 op (one dict lookup in the common case); a miss falls back to the full
 :func:`~repro.derive.instances.resolve` path, which derives, registers
-and memo-wraps.  The stats, trace, observation, and budget hooks are
-fetched once per ``rec`` level and guarded with ``is not None`` —
-profiling, observation, and budgets off cost four dict reads per level.
+and memo-wraps.  The trace, observation, and budget hooks are fetched
+once per ``rec`` level and guarded with ``is not None`` — profiling,
+observation, and budgets off cost three dict reads per level.  Handler
+attempts and backtracks are counted by the trace
+(:class:`~repro.derive.trace.DeriveTrace`), on both backends.
+
+The registry constructors at the end of this module
+(:func:`make_checker`, :func:`make_enumerator`, :func:`make_generator`)
+build the ``backend="interp"`` instances: what the ``derive_*`` objects
+of :mod:`repro.derive.api` run today, and the test oracle the compiled
+backend is compared against (``tests/derive/test_backend_diff.py``).
 
 Resource governance (``repro.resilience``) hooks via
 ``caches.get(BUDGET_KEY)``: one ``charge_entry`` per fixpoint level,
@@ -63,6 +71,7 @@ import random
 from typing import Any, Iterator
 
 from ..core.context import Context
+from ..core.errors import ArityError
 from ..core.values import Value
 from ..producers.combinators import _enum_values, datatype_sampler, slice_exhaustive
 from ..producers.option_bool import (
@@ -86,10 +95,16 @@ from .plan import (
     Plan,
     PlanHandler,
     linear_premise,
+    lower_schedule,
 )
 from .runtime import eval_expr, eval_exprs
+from .schedule import Schedule
 from .stats import STATS_KEY
 from .trace import BUDGET_KEY, OBSERVE_KEY, TRACE_KEY
+
+#: Tries a generator level gives each handler before discarding it
+#: (the interpreter's :func:`run_gen` and the compiled ``_emit_gen_top``).
+TRIES_PER_HANDLER = 2
 
 
 def _checker_instance(ctx: Context, op: tuple):
@@ -143,7 +158,6 @@ def run_checker(
     a ``None`` option — the paper's Figure 1 structure.
     """
     caches = ctx.caches
-    stats = caches.get(STATS_KEY)
     trace = caches.get(TRACE_KEY)
     obs = caches.get(OBSERVE_KEY)
     bud = caches.get(BUDGET_KEY)
@@ -167,8 +181,6 @@ def run_checker(
             bud.record_site("checker", plan.rel, plan.mode_str)
             saw_none = True
             break
-        if stats is not None:
-            stats.handler_attempts += 1
         env = list(args)
         if h.tail:
             env += h.tail
@@ -181,8 +193,6 @@ def run_checker(
             if obs is not None:
                 obs.end_checker(span, SOME_TRUE)
             return SOME_TRUE
-        if stats is not None:
-            stats.backtracks += 1
         if result is NONE_OB:
             saw_none = True
             if trace is not None:
@@ -320,27 +330,6 @@ def _checker_ops(
     return SOME_TRUE
 
 
-def run_checker_batch(
-    ctx: Context,
-    plans: dict,
-    plan: Plan,
-    fuel: int,
-    argses,
-) -> list:
-    """Check a vector of argument tuples at one fuel.
-
-    The interpreter twin of the compiled backend's ``__batch__`` entry
-    point: semantically exactly one top-level :func:`run_checker` call
-    per vector element (``size == top_size == fuel``), so budgets,
-    tracing, and observation charge as if the caller had looped — the
-    batched form only amortizes the per-call dispatch in the compiled
-    backend, never changes semantics.
-    """
-    return [
-        run_checker(ctx, plans, plan, fuel, fuel, args) for args in argses
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Enumerator driver (E (option A)).
 # ---------------------------------------------------------------------------
@@ -396,7 +385,6 @@ def _enum_level(
     ins: tuple[Value, ...],
 ) -> Iterator[Any]:
     caches = ctx.caches
-    stats = caches.get(STATS_KEY)
     trace = caches.get(TRACE_KEY)
     bud = caches.get(BUDGET_KEY)
     if bud is not None and bud.charge_entry(top - size):
@@ -414,8 +402,6 @@ def _enum_level(
             bud.record_site("enum", plan.rel, plan.mode_str)
             yield OUT_OF_FUEL
             return
-        if stats is not None:
-            stats.handler_attempts += 1
         env = list(ins)
         if h.tail:
             env += h.tail
@@ -557,15 +543,13 @@ def run_gen(
     top: int,
     ins: tuple[Value, ...],
     rng: random.Random,
-    retries: int = 2,
 ) -> Any:
     """One level of the derived generator fixpoint: QuickChick-style
     weighted backtracking.  Recursive handlers get weight proportional
     to the remaining size (deep structures stay likely at large sizes,
-    recursion tapers off near 0); each candidate is retried at most
-    *retries* times before being discarded."""
+    recursion tapers off near 0); each candidate is tried at most
+    :data:`TRIES_PER_HANDLER` times before being discarded."""
     caches = ctx.caches
-    stats = caches.get(STATS_KEY)
     trace = caches.get(TRACE_KEY)
     obs = caches.get(OBSERVE_KEY)
     bud = caches.get(BUDGET_KEY)
@@ -588,7 +572,8 @@ def run_gen(
         rec_size = size - 1
         saw_fuel = False
     remaining = [
-        [h, retries, (size if h.recursive else 1) or 1] for h in candidates
+        [h, TRIES_PER_HANDLER, (size if h.recursive else 1) or 1]
+        for h in candidates
     ]
     while remaining:
         total = 0
@@ -605,18 +590,14 @@ def run_gen(
             bud.record_site("gen", plan.rel, plan.mode_str)
             saw_fuel = True
             break
-        if stats is not None:
-            stats.handler_attempts += 1
         attempts += 1
-        result = _gen_handler(ctx, plan, h, rec_size, top, ins, rng, retries)
+        result = _gen_handler(ctx, plan, h, rec_size, top, ins, rng)
         if result is not FAIL and result is not OUT_OF_FUEL:
             if trace is not None:
                 trace.record4(h.key_gen, True, False)
             if obs is not None:
                 obs.end_gen(span, result, attempts)
             return result
-        if stats is not None:
-            stats.backtracks += 1
         if result is OUT_OF_FUEL:
             saw_fuel = True
             if trace is not None:
@@ -626,8 +607,6 @@ def run_gen(
         entry[1] -= 1
         if entry[1] <= 0:
             remaining.remove(entry)
-    if stats is not None and saw_fuel:
-        stats.fuel_exhaustions += 1
     result = OUT_OF_FUEL if saw_fuel else FAIL
     if obs is not None:
         obs.end_gen(span, result, attempts)
@@ -642,7 +621,6 @@ def _gen_handler(
     top: int,
     ins: tuple[Value, ...],
     rng: random.Random,
-    retries: int,
 ) -> Any:
     """One sampled path through a handler: every op is straightline in
     the generator monad (a producer draws a single sample, or chooses
@@ -685,7 +663,7 @@ def _gen_handler(
             # (same RNG stream with the pass on or off).
             ins2 = eval_exprs(op[3], env)
             if op[5]:  # recursive self-call, one level down
-                produced = run_gen(ctx, plan, rec_size, top, ins2, rng, retries)
+                produced = run_gen(ctx, plan, rec_size, top, ins2, rng)
             elif linear_premise(ctx, op[6], op[7]):
                 items = _enum_instance(ctx, op).fn(top, ins2)
                 produced = choose(collect_answers(items), rng)
@@ -728,3 +706,56 @@ def choose(collected: tuple, rng: random.Random) -> Any:
     if not answers:
         return OUT_OF_FUEL if marker else FAIL
     return answers[int(rng.random() * len(answers))]
+
+
+# ---------------------------------------------------------------------------
+# Registry constructors (the interpreter backend).
+# ---------------------------------------------------------------------------
+
+
+def make_checker(
+    ctx: Context,
+    schedule: Schedule,
+    group: "dict[str, Schedule] | None" = None,
+):
+    """The internal-convention checker ``fn(fuel, args)`` running
+    *schedule* through :func:`run_checker` at ``size == top == fuel``.
+
+    *group* maps relation names to the schedules sharing one fixpoint
+    (a mutual group, :mod:`repro.derive.mutual`); group-recursive
+    ``reccheck`` ops run the sibling's plan.  A vector of the wrong
+    length raises :class:`~repro.core.errors.ArityError`.
+    """
+    schedules = {schedule.rel: schedule, **(group or {})}
+    plans = {rel: lower_schedule(ctx, s) for rel, s in schedules.items()}
+    plan = plans[schedule.rel]
+    rel, arity = schedule.rel, schedule.mode.arity
+
+    def check(fuel: int, args: tuple[Value, ...]) -> OptionBool:
+        if len(args) != arity:
+            raise ArityError(rel, arity, len(args))
+        return run_checker(ctx, plans, plan, fuel, fuel, args)
+
+    return check
+
+
+def make_enumerator(ctx: Context, schedule: Schedule):
+    """The internal-convention enumerator ``fn(fuel, ins)`` running
+    *schedule* through :func:`run_enum`."""
+    plan = lower_schedule(ctx, schedule)
+
+    def enum_st(fuel: int, ins: tuple[Value, ...]) -> Iterator[Any]:
+        return run_enum(ctx, plan, fuel, fuel, ins)
+
+    return enum_st
+
+
+def make_generator(ctx: Context, schedule: Schedule):
+    """The internal-convention generator ``fn(fuel, ins, rng)`` running
+    *schedule* through :func:`run_gen`."""
+    plan = lower_schedule(ctx, schedule)
+
+    def gen_st(fuel: int, ins: tuple[Value, ...], rng: random.Random) -> Any:
+        return run_gen(ctx, plan, fuel, fuel, ins, rng)
+
+    return gen_st

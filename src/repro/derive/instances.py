@@ -203,18 +203,14 @@ def _derive_instance(
         else:  # pragma: no cover - guarded by register_producer
             raise DerivationError(f"bad instance kind {kind!r}")
         return Instance(kind, rel, mode, fn, "compiled", schedule)
+    from . import exec_core
+
     if kind == CHECKER:
-        from .interp_checker import make_checker
-
-        fn = make_checker(ctx, schedule)
+        fn = exec_core.make_checker(ctx, schedule)
     elif kind == ENUM:
-        from .interp_enum import make_enumerator
-
-        fn = make_enumerator(ctx, schedule)
+        fn = exec_core.make_enumerator(ctx, schedule)
     elif kind == GEN:
-        from .interp_gen import make_generator
-
-        fn = make_generator(ctx, schedule)
+        fn = exec_core.make_generator(ctx, schedule)
     else:  # pragma: no cover - guarded by register_producer
         raise DerivationError(f"bad instance kind {kind!r}")
     return Instance(kind, rel, mode, fn, "derived", schedule)

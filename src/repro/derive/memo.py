@@ -18,11 +18,12 @@ So per ground query ``(rel, args)`` the memo table records
   **at or below** that bound short-circuits to ``None`` (by downward
   persistence of ``None``).
 
-With both bounds, :meth:`DerivedChecker.decide`'s fuel-doubling loop
-becomes incremental: repeated ``decide`` calls collapse to a table
-lookup (a definite answer is fuel-independent *semantic* information,
-which is exactly what ``decide`` asks for), and interleaved plain
-``check(fuel, ...)`` calls reuse each other's ``None`` frontier.
+With both bounds, the fuel-doubling loop of
+:meth:`~repro.derive.api.DerivedChecker.decide` becomes incremental:
+repeated ``decide`` calls collapse to a table lookup (a definite answer
+is fuel-independent *semantic* information, which is exactly what
+``decide`` asks for), and interleaved plain ``check(fuel, ...)`` calls
+reuse each other's ``None`` frontier.
 
 Keys carry **no** size/top_size split: only top-level calls (where
 ``size == top_size == fuel``) go through the table.  Inner ``rec``
@@ -36,9 +37,11 @@ demanded.  Random generators are never memoized (their whole point is
 fresh randomness); they are only counted.
 
 The layer is wired in at :func:`repro.derive.instances.resolve`, which
-wraps ``Instance.fn`` in place — so the schedule interpreters, the
-compiled backend's external calls, and user code that goes through the
-registry all share one table per context.  ``register(...,
+wraps ``Instance.fn`` in place, the same way whatever the instance's
+source — so the interpreter, the compiled backend's external calls,
+the public objects of :mod:`repro.derive.api` (which call
+``instance.fn``) and user code that goes through the registry all
+share one table per context.  ``register(...,
 replace=True)`` invalidates the tables wholesale (cached results may
 depend on the replaced instance transitively).
 
@@ -275,9 +278,8 @@ def decide_fuel_doubling(
 def wrap_instance(ctx: Context, instance: Any) -> Any:
     """Wrap ``instance.fn`` in place with the memo layer (idempotent).
 
-    * checkers: ground-call memo table — except interpreter-derived
-      checkers, whose :meth:`DerivedChecker.check` already routes
-      through the table itself (wrapping again would double-count);
+    * checkers: ground-call memo table (and a memoized ``__batch__``
+      when the raw checker has one);
     * enumerators: shared lazy slice per ``(rel, mode, ins, fuel)``;
     * generators: call counting only (never cached).
 
@@ -289,10 +291,6 @@ def wrap_instance(ctx: Context, instance: Any) -> Any:
     if getattr(fn, "__memo_wrapped__", False):
         return instance
     if instance.kind == "checker":
-        from .interp_checker import DerivedChecker
-
-        if isinstance(getattr(fn, "__self__", None), DerivedChecker):
-            return instance  # self-memoizing
         instance.fn = _wrap_checker_fn(ctx, instance.rel, fn)
     elif instance.kind == "enum":
         instance.fn = _wrap_enum_fn(ctx, instance.rel, str(instance.mode), fn)
@@ -304,11 +302,6 @@ def wrap_instance(ctx: Context, instance: Any) -> Any:
 def _mark(wrapper: Callable[..., Any], raw: Callable[..., Any]) -> Callable[..., Any]:
     wrapper.__memo_wrapped__ = True
     wrapper.__memo_raw__ = raw
-    owner = getattr(raw, "__self__", None)
-    if owner is not None:
-        # Preserve owner discovery (repro.derive.api unwraps through
-        # __self__ to hand back the rich public object).
-        wrapper.__self__ = owner
     source = getattr(raw, "__derived_source__", None)
     if source is not None:
         wrapper.__derived_source__ = source

@@ -20,9 +20,9 @@ downstream derivations (including other relations' producers) can use
 them.
 
 Each group member's schedule lowers to its own Plan; the shared
-fixpoint is realized by :class:`DerivedChecker`'s *group* map
-(relation name -> schedule), which the executor uses to route
-group-recursive ``reccheck`` ops to the sibling's plan at the
+fixpoint is realized by the *group* map (relation name -> schedule) of
+:func:`~repro.derive.exec_core.make_checker`, which the executor uses
+to route group-recursive ``reccheck`` ops to the sibling's plan at the
 decremented size.  Mutual groups stay on the interpreter backend:
 compiled resolution would reject the instance cycle before codegen
 runs, so once a group is registered it serves the group's checkers
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from ..core.context import Context
 from ..core.errors import DerivationError
+from .api import DerivedChecker, public_object
+from .exec_core import make_checker
 from .instances import CHECKER, Instance, register
-from .interp_checker import DerivedChecker
 from .modes import Mode
 from .scheduler import DEFAULT_POLICY, DerivePolicy, build_schedule
 
@@ -92,7 +93,9 @@ def derive_mutual_checkers(
     (use :func:`mutual_components` to split a larger set first).  Every
     member's checker shares the decreasing ``size``; in-group premises
     become group-recursive calls, so no cyclic instance resolution
-    occurs.  Each checker is registered in the instance table.
+    occurs.  Each checker is registered in the instance table, and the
+    returned objects are the ones ``derive_checker`` hands back for the
+    members.
     """
     if not rel_names:
         raise DerivationError("derive_mutual_checkers needs at least one relation")
@@ -105,32 +108,25 @@ def derive_mutual_checkers(
         )
     checkers: dict[str, DerivedChecker] = {}
     for name in rel_names:
-        checker = DerivedChecker(ctx, schedules[name], group=schedules)
-        checkers[name] = checker
-        arity = ctx.relations.get(name).arity
+        mode = Mode.checker(ctx.relations.get(name).arity)
         register(
             ctx,
             Instance(
                 CHECKER,
                 name,
-                Mode.checker(arity),
-                checker.check,
+                mode,
+                make_checker(ctx, schedules[name], group=schedules),
                 "derived-mutual",
                 schedules[name],
             ),
             replace=replace,
         )
+        checkers[name] = public_object(ctx, CHECKER, name, mode)
     # Resolve out-of-group dependencies the ordinary way.
     from .instances import _resolve_dependencies
-    from .scheduler import required_instances
 
     for name in rel_names:
         instance = ctx.instances[(CHECKER, name, "i" * ctx.relations.get(name).arity)]
-        needs = [
-            (kind, rel, mode)
-            for kind, rel, mode in required_instances(schedules[name])
-            if rel not in group
-        ]
         pruned = Instance(
             instance.kind, instance.rel, instance.mode, instance.fn,
             instance.source, _PrunedSchedule(schedules[name], group),

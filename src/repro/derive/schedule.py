@@ -2,13 +2,13 @@
 
 A :class:`Schedule` is the mode-specific "program" derived from an
 inductive relation — exactly the structure the paper's algorithm emits
-as Gallina code, but reified so that three different backends can run
-it (Section 4: "three different instantiations of the same algorithm"):
+as Gallina code, but reified so that two backends can run it in each
+of the three instantiations (Section 4: "three different
+instantiations of the same algorithm"):
 
-* the checker interpreter (``interp_checker``) reads it as an
-  ``option bool`` semi-decision procedure;
-* the enumerator interpreter (``interp_enum``) as an ``E (option A)``;
-* the generator interpreter (``interp_gen``) as a ``G (option A)``;
+* the plan interpreter (``exec_core``) runs it as an ``option bool``
+  semi-decision procedure, an ``E (option A)`` enumerator or a
+  ``G (option A)`` generator;
 * the code generator (``codegen``) compiles it to Python source.
 
 One :class:`Handler` per rule: the pattern match against the rule's

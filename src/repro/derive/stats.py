@@ -2,10 +2,12 @@
 
 A :class:`DeriveStats` object lives in ``ctx.caches['derive_stats']``
 and counts what the derive hot path actually does: checker calls,
-memo-table hits/misses, handler attempts, backtracks, fuel
-exhaustions, and instance resolutions.  It is the observability half
-of the memoization layer (:mod:`repro.derive.memo`); both are enabled
-together by :func:`repro.derive.memo.enable_memoization`.
+memo-table hits/misses, fuel exhaustions, and instance resolutions.
+It is the observability half of the memoization layer
+(:mod:`repro.derive.memo`); both are enabled together by
+:func:`repro.derive.memo.enable_memoization`.  Per-handler attempts
+and backtracks are the trace's (:func:`repro.derive.trace.profile`),
+which both backends record.
 
 Zero-overhead disabled mode: when no stats object is installed, every
 instrumentation site is a single ``ctx.caches.get(...)`` returning
@@ -29,9 +31,7 @@ COUNTERS = (
     ("enum_cache_hits", "enumerator slice memo hits"),
     ("enum_cache_misses", "enumerator slice memo misses"),
     ("gen_calls", "external generator calls"),
-    ("handler_attempts", "constructor handlers attempted"),
-    ("backtracks", "handler attempts that failed (backtracking)"),
-    ("fuel_exhaustions", "out-of-fuel answers observed"),
+    ("fuel_exhaustions", "out-of-fuel checker answers (memo misses)"),
     ("external_resolutions", "instance registry resolutions"),
     ("analysis_runs", "static analysis gate runs"),
     ("invalidations", "memo-table invalidations (instance replaced)"),

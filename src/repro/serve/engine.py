@@ -470,11 +470,20 @@ class Engine:
         t.start()
 
     def _respawn_worker(self, index: int) -> None:
-        """Supervisor callback: bring a crashed worker slot back."""
-        self._spawn(index)
+        """Supervisor callback: bring a crashed worker slot back.
+
+        The restart is counted before the spawn: the new worker may
+        serve every requeued query before this thread runs again, and
+        whoever sees those answers must see the restart too."""
         with self._lock:
             c = self._metrics.counters
             c["serve.worker_restarts"] = c.get("serve.worker_restarts", 0) + 1
+        try:
+            self._spawn(index)
+        except RuntimeError:
+            with self._lock:
+                c["serve.worker_restarts"] -= 1
+            raise
 
     def _pool_dead(self) -> bool:
         """The scan behind ``submit``'s live-worker count, for when the

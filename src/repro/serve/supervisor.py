@@ -147,13 +147,19 @@ class Supervisor:
                     with self._lock:
                         self._due.pop(index, None)
                     continue
+                # Counted before the respawn, as in the engine: the new
+                # worker may answer before this thread runs again.
+                with self._lock:
+                    self.restarts += 1
                 try:
                     engine._respawn_worker(index)
                 except RuntimeError:
-                    continue  # interpreter shutting down; give up quietly
+                    # Interpreter shutting down; give up quietly.
+                    with self._lock:
+                        self.restarts -= 1
+                    continue
                 with self._lock:
                     self._due.pop(index, None)
-                self.restarts += 1
 
     def snapshot(self) -> dict:
         with self._lock:

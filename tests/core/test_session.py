@@ -26,7 +26,7 @@ from repro.core.session import (
     use_session,
 )
 from repro.core.values import Value, to_int
-from repro.derive import Mode
+from repro.derive import Mode, derive_checker
 from repro.derive.instances import CHECKER, ENUM, resolve
 from repro.derive.memo import CHECKER_MEMO, enable_memoization
 from repro.derive.stats import install_stats, stats_of
@@ -92,7 +92,10 @@ class TestSessionIsolation:
     def test_disjoint_stats(self, nat_ctx):
         """Two sessions tally their own DeriveStats; the work one
         session does never shows up in the other's counters."""
-        chk = resolve(nat_ctx, CHECKER, "le", Mode.checker(2)).fn
+        # The public object reads the instance's (memo-wrapped) fn on
+        # every call; a raw fn held from before enable_memoization
+        # would bypass the table.
+        chk = derive_checker(nat_ctx, "le").check
         s1, s2 = nat_ctx.new_session("s1"), nat_ctx.new_session("s2")
         with use_session(nat_ctx, s1):
             enable_memoization(nat_ctx)
@@ -106,7 +109,7 @@ class TestSessionIsolation:
         assert stats_of(nat_ctx) is None  # default session untouched
 
     def test_disjoint_memo_tables(self, nat_ctx):
-        chk = resolve(nat_ctx, CHECKER, "le", Mode.checker(2)).fn
+        chk = derive_checker(nat_ctx, "le").check
         s1, s2 = nat_ctx.new_session("m1"), nat_ctx.new_session("m2")
         with use_session(nat_ctx, s1):
             enable_memoization(nat_ctx)

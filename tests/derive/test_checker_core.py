@@ -10,7 +10,7 @@ from repro.derive.checker_core import (
     algorithm1_unsupported_reasons,
     derive_checker_core,
 )
-from repro.derive.interp_checker import DerivedChecker
+from repro.derive.exec_core import make_checker
 from repro.stdlib import standard_context
 
 
@@ -63,18 +63,19 @@ class TestDerivedCore:
     def test_core_checker_runs(self, nat_ctx):
         schedule = derive_checker_core(nat_ctx, "ev")
         assert schedule.algorithm == "core"
-        chk = DerivedChecker(nat_ctx, schedule)
-        assert chk(10, from_int(4)).is_true
-        assert chk(10, from_int(5)).is_false
-        assert chk(1, from_int(8)).is_none
+        chk = make_checker(nat_ctx, schedule)
+        assert chk(10, (from_int(4),)).is_true
+        assert chk(10, (from_int(5),)).is_false
+        assert chk(1, (from_int(8),)).is_none
 
     def test_core_agrees_with_full_algorithm(self, list_ctx):
         from repro.derive import Mode, build_schedule
 
-        core = DerivedChecker(list_ctx, derive_checker_core(list_ctx, "Sorted"))
-        full = DerivedChecker(
+        core = make_checker(list_ctx, derive_checker_core(list_ctx, "Sorted"))
+        full = make_checker(
             list_ctx, build_schedule(list_ctx, "Sorted", Mode.checker(1))
         )
         cases = [[], [1], [1, 2], [2, 1], [0, 0, 5], [5, 0]]
         for xs in cases:
-            assert core(12, nat_list(xs)).tag == full(12, nat_list(xs)).tag
+            args = (nat_list(xs),)
+            assert core(12, args).tag == full(12, args).tag

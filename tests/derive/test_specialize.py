@@ -251,16 +251,16 @@ class TestBatchEntryPoints:
         assert fn.__batch__(5, argses) == [fn(5, args) for args in argses]
 
     def test_interpreter_batch_parity(self, nat_ctx):
-        from repro.derive.exec_core import run_checker_batch
+        from repro.derive import derive_checker
 
-        checker = resolve(nat_ctx, CHECKER, "le", Mode.checker(2)).fn.__self__
+        checker = derive_checker(nat_ctx, "le")
+        assert checker.instance.source == "derived"
+        interp = resolve(nat_ctx, CHECKER, "le", Mode.checker(2)).fn
         compiled = resolve_compiled(nat_ctx, CHECKER, "le", Mode.checker(2))
         argses = _le_cases()
         batch = checker.check_batch(5, argses)
         assert batch == compiled.__batch__(5, argses)
-        assert batch == run_checker_batch(
-            nat_ctx, checker._plans, checker._plan, 5, argses
-        )
+        assert batch == [interp(5, args) for args in argses]
 
     def test_batch_unspecialized_plan(self, stlc_ctx):
         sp.disable_specialization(stlc_ctx)

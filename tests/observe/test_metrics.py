@@ -75,13 +75,13 @@ class TestMetrics:
     def test_bind_stats_merges_under_prefix(self):
         m = Metrics()
         stats = DeriveStats()
-        stats.backtracks += 3
+        stats.checker_calls += 3
         m.bind_stats(stats)
         snap = m.counter_snapshot()
-        assert snap["stats.backtracks"] == 3
+        assert snap["stats.checker_calls"] == 3
         # Live binding: later counting shows in later snapshots.
-        stats.backtracks += 1
-        assert m.counter_snapshot()["stats.backtracks"] == 4
+        stats.checker_calls += 1
+        assert m.counter_snapshot()["stats.checker_calls"] == 4
 
     def test_bind_stats_carries_transform_counters(self):
         # The functionalization counters ride the same prefix, so an

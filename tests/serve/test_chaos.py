@@ -149,6 +149,25 @@ class TestCrash:
         assert stats["crashes"] >= 1
         assert stats["restarts"] >= 1
 
+    def test_restart_counted_before_the_respawned_worker_runs(self, nat_ctx):
+        # The respawned worker reads the counters on entry, before it
+        # serves anything: the restart that brought it up must show.
+        plan = WorkerFaultPlan.from_events((0, 1, "crash"))
+        seen = []
+        with Engine(nat_ctx, workers=1, faults=plan, supervise=SUP) as eng:
+            first_main = eng._worker_main
+
+            def respawned_main(index):
+                stats = eng.stats()
+                seen.append((stats["restarts"], stats["supervisor"]["restarts"]))
+                return first_main(index)
+
+            eng._worker_main = respawned_main
+            futures = [eng.submit(q) for q in workload()]
+            for f in futures:
+                f.result(timeout=WATCHDOG)
+        assert seen and seen[0] == (1, 1)
+
     def test_crash_storm_on_one_worker(self, nat_ctx, baseline):
         # Repeated crashes on the same worker: backoff restarts keep
         # the engine live and the answers right.

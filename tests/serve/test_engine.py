@@ -590,16 +590,14 @@ class TestCompiledExecutors:
     def test_served_queries_run_compiled_instances(self, nat_ctx, monkeypatch):
         # Any interpreter execution would now raise — and resolve as an
         # error result — so ok answers prove the compiled code ran.
-        from repro.derive import interp_checker as ic
-        from repro.derive import interp_enum as ie
-        from repro.derive import interp_gen as ig
+        from repro.derive import exec_core
 
         def interpreter_called(*a, **k):
             raise AssertionError("the interpreter ran a served query")
 
-        monkeypatch.setattr(ic, "run_checker", interpreter_called)
-        monkeypatch.setattr(ie, "run_enum", interpreter_called)
-        monkeypatch.setattr(ig, "run_gen", interpreter_called)
+        monkeypatch.setattr(exec_core, "run_checker", interpreter_called)
+        monkeypatch.setattr(exec_core, "run_enum", interpreter_called)
+        monkeypatch.setattr(exec_core, "run_gen", interpreter_called)
         checks = [
             CheckQuery("le", (nat(a), nat(3)), fuel=16) for a in range(6)
         ]
